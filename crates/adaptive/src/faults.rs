@@ -24,11 +24,11 @@ use crate::error::AdaptiveError;
 use crate::manager::{AdaptiveStats, AdaptiveSystem, ReconfigCost, SwitchEvent};
 use flexplore_bind::{
     implement_allocation, solve_mode, BindOptions, CommGraph, ImplementOptions, Implementation,
-    ModeImplementation,
+    ModeImplementation, ObsSink,
 };
 use flexplore_hgraph::{Scope, Selection, VertexId};
 use flexplore_sched::Time;
-use flexplore_spec::SpecificationGraph;
+use flexplore_spec::{CompiledSpec, SpecificationGraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -718,9 +718,15 @@ pub fn run_with_faults(
         baseline_flexibility
     } else {
         let options = ImplementOptions::default().with_excluded_resources(system.health().dead());
-        implement_allocation(spec, &implementation.allocation, &options)?
-            .0
-            .map_or(0, |i| i.flexibility)
+        implement_allocation(
+            &CompiledSpec::new(spec),
+            &implementation.allocation,
+            &options,
+            None,
+            &ObsSink::disabled(),
+        )?
+        .0
+        .map_or(0, |i| i.flexibility)
     };
     Ok(FaultReport {
         stats: system.stats(),

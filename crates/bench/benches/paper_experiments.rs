@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flexplore::flex::{flexibility, max_flexibility};
 use flexplore::{
     explore, paper_pareto_table, possible_resource_allocations, set_top_box, tv_decoder,
-    AllocationOptions, ExploreOptions,
+    AllocationOptions, CompiledSpec, ExploreOptions, ObsSink,
 };
 use std::hint::black_box;
 
@@ -34,8 +34,12 @@ fn print_fig3() {
 /// E2 / Fig. 2 — the possible-resource-allocation set of the TV decoder.
 fn print_fig2() {
     let tv = tv_decoder();
-    let (cands, stats) =
-        possible_resource_allocations(&tv.spec, &AllocationOptions::default()).unwrap();
+    let (cands, stats) = possible_resource_allocations(
+        &CompiledSpec::new(&tv.spec),
+        &AllocationOptions::default(),
+        &ObsSink::disabled(),
+    )
+    .unwrap();
     println!("\n== Fig. 2: possible resource allocations of the TV decoder ==");
     println!(
         "  {} subsets -> {} possible allocations (paper lists the cost-ordered set A)",
@@ -118,8 +122,12 @@ fn bench_allocations(c: &mut Criterion) {
     c.bench_function("fig2_possible_allocations", |b| {
         b.iter(|| {
             black_box(
-                possible_resource_allocations(black_box(&tv.spec), &AllocationOptions::default())
-                    .unwrap(),
+                possible_resource_allocations(
+                    &CompiledSpec::new(black_box(&tv.spec)),
+                    &AllocationOptions::default(),
+                    &ObsSink::disabled(),
+                )
+                .unwrap(),
             )
         })
     });

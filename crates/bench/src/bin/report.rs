@@ -14,8 +14,8 @@ use flexplore::bind::{BindOptions, ImplementOptions};
 use flexplore::flex::{flexibility, max_flexibility};
 use flexplore::{
     exhaustive_explore, explore, moea_explore, paper_pareto_table, possible_resource_allocations,
-    set_top_box, synthetic_spec, tv_decoder, AllocationOptions, Cost, ExploreOptions, MoeaOptions,
-    SchedPolicy, SyntheticConfig, Time,
+    set_top_box, synthetic_spec, tv_decoder, AllocationOptions, CompiledSpec, Cost, ExploreOptions,
+    MoeaOptions, ObsSink, SchedPolicy, SyntheticConfig, Time,
 };
 use flexplore_bench::{
     analyze_suite, available_parallelism, entry_id, explore_suite, lint_suite, out_path,
@@ -188,7 +188,11 @@ fn e1_e2() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("## E2 — Fig. 2 possible resource allocations\n");
-    let (cands, stats) = possible_resource_allocations(&tv.spec, &AllocationOptions::default())?;
+    let (cands, stats) = possible_resource_allocations(
+        &CompiledSpec::new(&tv.spec),
+        &AllocationOptions::default(),
+        &ObsSink::disabled(),
+    )?;
     println!(
         "{} subsets scanned, {} possible allocations; the set starts with:\n",
         stats.subsets, stats.kept

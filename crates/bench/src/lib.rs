@@ -22,7 +22,7 @@
 
 use flexplore::models::{spec_from_json, spec_to_json};
 use flexplore::{
-    analyze_spec_obs, explore_compiled_warm, explore_with_obs, lint_spec_obs, set_top_box,
+    analyze_spec_obs, explore_compiled_obs, explore_compiled_warm, lint_spec_obs, set_top_box,
     synthetic_spec, tv_decoder, AllocationOptions, CompiledSpec, ExploreOptions, ObsSink,
     RunReport, SpecificationGraph, SyntheticConfig, WarmMode,
 };
@@ -161,7 +161,10 @@ pub fn measured_explore(spec: &SpecificationGraph, threads: usize) -> RunReport 
     (0..REPEATS)
         .map(|_| {
             let obs = ObsSink::enabled();
-            explore_with_obs(spec, &options, &obs).expect("bundled model explores");
+            let timer = obs.start();
+            let compiled = CompiledSpec::with_activation_cache(spec);
+            obs.finish(flexplore::obs::phase::COMPILE, timer);
+            explore_compiled_obs(&compiled, &options, &obs).expect("bundled model explores");
             obs.report("explore", spec.name(), threads)
         })
         .min_by_key(|r| r.wall_ns)
@@ -218,8 +221,8 @@ pub fn measured_analyze(spec: &SpecificationGraph) -> RunReport {
 
 /// The models the explore suite measures. `synthetic-large` spans a
 /// 2^24-subset lattice and `synthetic-wide` a 2^102 one: feasible only
-/// because the default branch-and-bound enumerator prunes them — the flat
-/// scan would need ~10^7 (resp. ~10^30) estimates.
+/// because the branch-and-bound lattice search prunes them — a flat scan
+/// would need ~10^7 (resp. ~10^30) estimates.
 #[must_use]
 pub fn explore_models() -> Vec<SpecificationGraph> {
     vec![

@@ -14,10 +14,7 @@ use crate::solver::{solve_mode_compiled, BindOptions, ModeImplementation, SolveS
 use flexplore_flex::{estimate_with_compiled, flexibility, Flexibility};
 use flexplore_hgraph::{ClusterId, VertexId};
 use flexplore_obs::{phase, ObsSink};
-use flexplore_spec::{
-    allocation_from_units, CompiledSpec, Cost, ResourceAllocation, SpecificationGraph, Unit,
-    UnitMask,
-};
+use flexplore_spec::{CompiledSpec, Cost, ResourceAllocation, SpecificationGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -156,102 +153,32 @@ pub struct ImplementStats {
 /// Returns `Ok(None)` when the allocation admits no feasible implementation
 /// (some top-level behavior cannot be realized).
 ///
+/// All per-candidate work reads the shared, immutable [`CompiledSpec`]
+/// tables (latency-sorted mappings, reachable-resource lists, cluster
+/// leaves and costs, resolved architecture-edge endpoints, cached
+/// activations): build the compiled context once per specification and
+/// reuse it across every allocation, as the exploration engine does.
+///
+/// When `batch` is given, the elementary-cluster-activation enumeration is
+/// answered from (and fills) the batch's shared cache, so sibling
+/// candidates activating the same cluster set skip straight to the
+/// per-ECA `bind.solve` work. The cache stores a pure function of the
+/// activatable set (see [`BindingBatch`](crate::BindingBatch)), so
+/// implementations and stats are identical with or without it.
+///
+/// Busy time of the feasibility estimate (`bind.estimate`), the
+/// communication-graph construction (`bind.comm`), the backtracking
+/// binding search (`bind.solve`, one call per elementary
+/// cluster-activation) and the implemented-flexibility evaluation
+/// (`bind.flex`) is recorded into `obs`; with a disabled sink no clocks
+/// are read. Safe to call from worker threads sharing one sink: only
+/// dotted sub-phases are recorded, which aggregate order-free.
+///
 /// # Errors
 ///
 /// Returns [`BindError::TooManyActivations`] if the ECA enumeration exceeds
 /// the configured bound.
 pub fn implement_allocation(
-    spec: &SpecificationGraph,
-    allocation: &ResourceAllocation,
-    options: &ImplementOptions,
-) -> Result<(Option<Implementation>, ImplementStats), BindError> {
-    let compiled = CompiledSpec::new(spec);
-    implement_allocation_compiled(&compiled, allocation, options)
-}
-
-/// [`implement_allocation`] over a precompiled specification context.
-///
-/// All per-candidate work reads the shared, immutable [`CompiledSpec`]
-/// tables (latency-sorted mappings, reachable-resource lists, cluster
-/// leaves and costs, resolved architecture-edge endpoints, cached
-/// activations); results and [`ImplementStats`] are identical to the
-/// uncompiled entry point. Build the compiled context once per
-/// specification and reuse it across every allocation — this is what the
-/// exploration engine does.
-///
-/// # Errors
-///
-/// Returns [`BindError::TooManyActivations`] if the ECA enumeration exceeds
-/// the configured bound.
-pub fn implement_allocation_compiled(
-    compiled: &CompiledSpec<'_>,
-    allocation: &ResourceAllocation,
-    options: &ImplementOptions,
-) -> Result<(Option<Implementation>, ImplementStats), BindError> {
-    implement_allocation_obs(compiled, allocation, options, &ObsSink::disabled())
-}
-
-/// [`implement_allocation_compiled`] addressed by a unit subset mask over
-/// a fixed unit universe instead of an expanded [`ResourceAllocation`]:
-/// bit `k` of `mask` allocates `units[k]`. This is the natural entry point
-/// for callers that already work in mask space (the lattice enumerator,
-/// the evolutionary genotypes, resilience sweeps toggling units off).
-///
-/// # Errors
-///
-/// Returns [`BindError::TooManyActivations`] if the ECA enumeration exceeds
-/// the configured bound.
-///
-/// # Panics
-///
-/// Panics when `mask` has a bit set at or beyond `units.len()`.
-pub fn implement_unit_mask_compiled(
-    compiled: &CompiledSpec<'_>,
-    units: &[Unit],
-    mask: UnitMask,
-    options: &ImplementOptions,
-) -> Result<(Option<Implementation>, ImplementStats), BindError> {
-    let allocation = allocation_from_units(units, mask);
-    implement_allocation_obs(compiled, &allocation, options, &ObsSink::disabled())
-}
-
-/// [`implement_allocation_compiled`] with per-stage observability: records
-/// busy time of the feasibility estimate (`bind.estimate`), the
-/// communication-graph construction (`bind.comm`), the backtracking
-/// binding search (`bind.solve`, one call per elementary
-/// cluster-activation) and the implemented-flexibility evaluation
-/// (`bind.flex`) into `obs`. With a disabled sink this is exactly
-/// [`implement_allocation_compiled`] — no clocks are read.
-///
-/// Safe to call from worker threads sharing one sink: only dotted
-/// sub-phases are recorded, which aggregate order-free.
-///
-/// # Errors
-///
-/// Returns [`BindError::TooManyActivations`] if the ECA enumeration exceeds
-/// the configured bound.
-pub fn implement_allocation_obs(
-    compiled: &CompiledSpec<'_>,
-    allocation: &ResourceAllocation,
-    options: &ImplementOptions,
-    obs: &ObsSink,
-) -> Result<(Option<Implementation>, ImplementStats), BindError> {
-    implement_allocation_batch_obs(compiled, allocation, options, None, obs)
-}
-
-/// [`implement_allocation_obs`] with batched setup: when `batch` is given,
-/// the elementary-cluster-activation enumeration is answered from (and
-/// fills) the batch's shared cache, so sibling candidates activating the
-/// same cluster set skip straight to the per-ECA `bind.solve` work.
-/// Implementations, stats and observability are byte-identical to the
-/// unbatched call — the cache stores a pure function of the activatable
-/// set (see [`BindingBatch`]).
-///
-/// # Errors
-///
-/// Returns [`BindError::TooManyActivations`] if the ECA enumeration exceeds
-/// the configured bound.
-pub fn implement_allocation_batch_obs(
     compiled: &CompiledSpec<'_>,
     allocation: &ResourceAllocation,
     options: &ImplementOptions,
@@ -355,9 +282,15 @@ pub fn implement_default(
     spec: &SpecificationGraph,
     allocation: &ResourceAllocation,
 ) -> Option<Implementation> {
-    implement_allocation(spec, allocation, &ImplementOptions::default())
-        .expect("default activation bound exceeded")
-        .0
+    implement_allocation(
+        &CompiledSpec::new(spec),
+        allocation,
+        &ImplementOptions::default(),
+        None,
+        &ObsSink::disabled(),
+    )
+    .expect("default activation bound exceeded")
+    .0
 }
 
 #[cfg(test)]
@@ -365,7 +298,25 @@ mod tests {
     use super::*;
     use flexplore_hgraph::{PortDirection, PortTarget, Scope};
     use flexplore_sched::Time;
-    use flexplore_spec::{ArchitectureGraph, Cost, ProblemGraph, ProcessAttrs};
+    use flexplore_spec::{
+        allocation_from_units, ArchitectureGraph, Cost, ProblemGraph, ProcessAttrs, Unit, UnitMask,
+    };
+
+    /// Implements `allocation` with a fresh compiled context, no batch and
+    /// a disabled sink.
+    fn implement(
+        spec: &SpecificationGraph,
+        allocation: &ResourceAllocation,
+        options: &ImplementOptions,
+    ) -> Result<(Option<Implementation>, ImplementStats), BindError> {
+        implement_allocation(
+            &CompiledSpec::new(spec),
+            allocation,
+            options,
+            None,
+            &ObsSink::disabled(),
+        )
+    }
 
     /// TV-decoder-like spec: ctrl + I_D{D1,D2} -> I_U{U1,U2} with output
     /// period, on uP + optional ASIC (needed by D2/U2).
@@ -433,7 +384,7 @@ mod tests {
     fn up_only_implements_d1_u1() {
         let (s, names, up_only, _) = spec();
         let (implementation, stats) =
-            implement_allocation(&s, &up_only, &ImplementOptions::default()).unwrap();
+            implement(&s, &up_only, &ImplementOptions::default()).unwrap();
         let implementation = implementation.expect("uP-only must be feasible");
         assert_eq!(implementation.flexibility, 1);
         assert_eq!(implementation.cost, Cost::new(100));
@@ -447,8 +398,7 @@ mod tests {
     #[test]
     fn full_allocation_implements_all_four_combinations() {
         let (s, _, _, full) = spec();
-        let (implementation, stats) =
-            implement_allocation(&s, &full, &ImplementOptions::default()).unwrap();
+        let (implementation, stats) = implement(&s, &full, &ImplementOptions::default()).unwrap();
         let implementation = implementation.expect("full allocation feasible");
         // 2 + 2 - 1 = 3.
         assert_eq!(implementation.flexibility, 3);
@@ -470,8 +420,7 @@ mod tests {
     fn infeasible_allocation_returns_none() {
         let (s, _, _, _) = spec();
         let empty = ResourceAllocation::new();
-        let (implementation, _) =
-            implement_allocation(&s, &empty, &ImplementOptions::default()).unwrap();
+        let (implementation, _) = implement(&s, &empty, &ImplementOptions::default()).unwrap();
         assert!(implementation.is_none());
     }
 
@@ -491,8 +440,7 @@ mod tests {
             .vertex_by_name(Scope::Top, "A")
             .unwrap();
         let alloc = ResourceAllocation::new().with_vertex(up).with_vertex(asic);
-        let (implementation, _) =
-            implement_allocation(&s, &alloc, &ImplementOptions::default()).unwrap();
+        let (implementation, _) = implement(&s, &alloc, &ImplementOptions::default()).unwrap();
         let implementation = implementation.expect("uP-side modes still feasible");
         assert_eq!(implementation.flexibility, 1);
         assert!(!implementation.covered_clusters.contains(&names["D2"]));
@@ -505,7 +453,7 @@ mod tests {
             max_activations: 2,
             ..ImplementOptions::default()
         };
-        let err = implement_allocation(&s, &full, &options).unwrap_err();
+        let err = implement(&s, &full, &options).unwrap_err();
         assert_eq!(err, BindError::TooManyActivations { limit: 2 });
         assert!(err.to_string().contains('2'));
     }
@@ -522,7 +470,7 @@ mod tests {
             .unwrap();
         let options =
             ImplementOptions::default().with_excluded_resources([asic].into_iter().collect());
-        let (implementation, _) = implement_allocation(&s, &full, &options).unwrap();
+        let (implementation, _) = implement(&s, &full, &options).unwrap();
         let implementation = implementation.expect("uP-side modes still feasible");
         assert_eq!(implementation.flexibility, 1);
         assert!(!implementation.covered_clusters.contains(&names["D2"]));
@@ -539,8 +487,12 @@ mod tests {
 
     #[test]
     fn mask_addressed_implement_matches_the_allocation_path() {
+        // Mask-space callers decode a unit subset with
+        // `allocation_from_units`; implementing the decoded allocation must
+        // match implementing the hand-built one, batched or not.
         let (s, _, up_only, full) = spec();
         let compiled = CompiledSpec::new(&s);
+        let batch = crate::batch::BindingBatch::new();
         // Unit universe in architecture order: [uP, A, C].
         let units: Vec<Unit> = s
             .architecture()
@@ -553,12 +505,18 @@ mod tests {
             (UnitMask::full(3), full),
             (UnitMask::empty(), ResourceAllocation::new()),
         ] {
-            let (by_mask, mask_stats) =
-                implement_unit_mask_compiled(&compiled, &units, mask, &ImplementOptions::default())
-                    .unwrap();
+            let decoded = allocation_from_units(&units, mask);
+            assert_eq!(decoded, alloc);
+            let (by_mask, mask_stats) = implement_allocation(
+                &compiled,
+                &decoded,
+                &ImplementOptions::default(),
+                Some(&batch),
+                &ObsSink::disabled(),
+            )
+            .unwrap();
             let (by_alloc, alloc_stats) =
-                implement_allocation_compiled(&compiled, &alloc, &ImplementOptions::default())
-                    .unwrap();
+                implement(&s, &alloc, &ImplementOptions::default()).unwrap();
             assert_eq!(mask_stats, alloc_stats);
             match (by_mask, by_alloc) {
                 (None, None) => {}
@@ -577,7 +535,7 @@ mod tests {
     fn implement_default_matches_explicit_options() {
         let (s, _, _, full) = spec();
         let a = implement_default(&s, &full).unwrap();
-        let (b, _) = implement_allocation(&s, &full, &ImplementOptions::default()).unwrap();
+        let (b, _) = implement(&s, &full, &ImplementOptions::default()).unwrap();
         let b = b.unwrap();
         assert_eq!(a.flexibility, b.flexibility);
         assert_eq!(a.cost, b.cost);

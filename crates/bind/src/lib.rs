@@ -85,9 +85,8 @@ mod timing;
 pub use batch::BindingBatch;
 pub use comm::{full_comm_graph, CommGraph};
 pub use implement::{
-    implement_allocation, implement_allocation_batch_obs, implement_allocation_compiled,
-    implement_allocation_obs, implement_default, implement_unit_mask_compiled, BindError,
-    ImplementOptions, ImplementStats, Implementation,
+    implement_allocation, implement_default, BindError, ImplementOptions, ImplementStats,
+    Implementation,
 };
 pub use solver::{
     mode_is_feasible, mode_timing_accepts, solve_mode, solve_mode_compiled, BindOptions,
@@ -96,5 +95,7 @@ pub use solver::{
 pub use timing::{inherited_periods, mode_meets_timing, resource_task_sets};
 
 // Re-exported so downstream users of the solver API have the allocation
-// type in scope without importing flexplore-spec explicitly.
+// and sink types of `implement_allocation` in scope without importing
+// flexplore-spec and flexplore-obs explicitly.
+pub use flexplore_obs::ObsSink;
 pub use flexplore_spec::ResourceAllocation;

@@ -29,17 +29,17 @@
 #![warn(missing_docs)]
 
 use flexplore::adaptive::{generate_trace, FaultTimelineEvent, TraceConfig};
-use flexplore::lint::{is_known_code, lint_spec_obs_with_capacity};
+use flexplore::lint::is_known_code;
 use flexplore::models::{spec_from_json, spec_from_json_unvalidated, spec_to_json};
 use flexplore::obs::phase;
 use flexplore::{
-    analyze_spec_obs, dual_slot_fpga, explore, explore_resilient_obs, explore_with_obs,
-    fingerprint, flexibility_profile, k_resilient_flexibility_obs, lint_spec_obs,
+    analyze_spec_obs, dual_slot_fpga, explore, explore_compiled_obs, explore_resilient,
+    fingerprint, flexibility_profile, k_resilient_flexibility, lint_spec_obs,
     max_flexibility_under_budget, min_cost_for_flexibility, resolve_threads, run_with_faults,
     set_top_box, synthetic_spec, tv_decoder, AllocationOptions, CompiledSpec, Cost,
-    DegradationPolicy, Enumerator, ExploreCache, ExploreOptions, FaultKind, FaultPlan,
-    FaultScenario, ImplementOptions, ObsSink, ParetoFront, ReconfigCost, Selection,
-    SpecificationGraph, SyntheticConfig, Time, VertexId, WarmSummary,
+    DegradationPolicy, ExploreCache, ExploreOptions, FaultKind, FaultPlan, FaultScenario,
+    ImplementOptions, ObsSink, ParetoFront, ReconfigCost, Selection, SpecificationGraph,
+    SyntheticConfig, Time, VertexId, WarmSummary,
 };
 use flexplore_fuzz::{replay_dir, run_fuzz, DomainProfile, FuzzOptions};
 use serde::Serialize;
@@ -90,13 +90,13 @@ flexplore — flexibility/cost design-space exploration (Haubelt et al., DATE 20
 
 USAGE:
     flexplore explore (<spec.json> | <MODEL>) [--csv] [--json] [--threads N]
-                      [--enumerator flat|bnb] [--analysis on|off]
-                      [--cache-dir <DIR>] [--profile [text|json]]
+                      [--analysis on|off] [--cache-dir <DIR>]
+                      [--profile [text|json]]
     flexplore watch <spec.json> [--cache-dir <DIR>] [--threads N]
                     [--poll-ms <MS>] [--max-polls <N>]
     flexplore export <MODEL>
     flexplore resilience <spec.json> [--k <K>] [--threads N]
-                         [--enumerator flat|bnb] [--profile [text|json]]
+                         [--profile [text|json]]
     flexplore flexibility <spec.json>
     flexplore query <spec.json> --min-flex <K>
     flexplore query <spec.json> --budget <DOLLARS>
@@ -106,8 +106,7 @@ USAGE:
     flexplore faults <spec.json> [--kill <RESOURCE>@<NS>[+<OUTAGE>]]...
                      [--seed <N>] [--count <N>] [--policy <POLICY>]
                      [--budget <DOLLARS>] [--k <K>] [--trace <N>]
-                     [--threads <N>] [--enumerator flat|bnb]
-                     [--profile [text|json]]
+                     [--threads <N>] [--profile [text|json]]
     flexplore lint (<spec.json> | --builtin <MODEL>) [--format text|json]
                    [--deny (warnings|<CODE>)]... [--profile [text|json]]
     flexplore analyze (<spec.json> | <MODEL>) [--format text|json]
@@ -124,13 +123,10 @@ COMMANDS:
                   (--threads N runs the deterministic parallel engine;
                   0 = all cores; output is identical for every N).
                   --json dumps the front alone as JSON (byte-identical
-                  across enumerators and thread counts).
-                  --enumerator picks the subset engine: bnb (default,
-                  branch-and-bound lattice search) or flat (exhaustive
-                  scan oracle); both keep exactly the same candidates.
+                  across thread counts).
                   --analysis off disables the static lattice-fact
-                  pruning of the bnb engine (on by default; candidates
-                  and fronts are byte-identical either way).
+                  pruning of the lattice search (on by default;
+                  candidates and fronts are byte-identical either way).
                   --cache-dir persists the run's front, estimate memo and
                   bind outcomes keyed by a content hash of the spec; a
                   later run warm-starts from them, re-exploring only the
@@ -194,7 +190,7 @@ COMMANDS:
                   writes the JSON-lines event log to a file
     fuzz          seeded differential fuzzing: generate random small
                   specifications and cross-check the pipeline invariants
-                  (lint/explore agreement, enumerator equivalence, MOEA
+                  (lint/explore agreement, flat-scan equivalence, MOEA
                   and resilience subset, thread invariance, JSON round
                   trip, static lattice facts vs a prune-free flat
                   enumeration). Fully deterministic: equal --seed means a
@@ -335,11 +331,6 @@ fn profiled_output(
 /// Pre-flight lint gate run by the expensive commands (`explore`,
 /// `resilience`, `faults`) before any enumeration starts.
 ///
-/// `capacity` is the unit capacity of the enumerator the command actually
-/// selected ([`Enumerator::unit_capacity`]), so the `F013` capacity check
-/// warns against the limit that applies — the branch-and-bound ceiling
-/// would wave through a specification the flat scan cannot index.
-///
 /// Error-level findings abort the run (exit code 2) with the full report
 /// on stderr — a degenerate specification would otherwise only manifest as
 /// a silently empty front. `F013` aborts too, even though it is only a
@@ -348,13 +339,9 @@ fn profiled_output(
 /// warning/note findings are surfaced as a banner line the command
 /// prepends to its output; clean specifications get an empty banner so
 /// their output is unchanged.
-fn preflight_lint(
-    spec: &SpecificationGraph,
-    obs: &ObsSink,
-    capacity: usize,
-) -> Result<String, CliError> {
+fn preflight_lint(spec: &SpecificationGraph, obs: &ObsSink) -> Result<String, CliError> {
     let timer = obs.start();
-    let report = lint_spec_obs_with_capacity(spec, obs, capacity);
+    let report = lint_spec_obs(spec, obs);
     obs.finish(phase::LINT, timer);
     if report.has_errors() || report.has_code("F013") {
         return Err(err(format!(
@@ -371,6 +358,14 @@ fn preflight_lint(
             report.notes()
         ))
     }
+}
+
+/// Compiles `spec` for the engines, recording the `compile` phase.
+fn compile<'a>(spec: &'a SpecificationGraph, obs: &ObsSink) -> CompiledSpec<'a> {
+    let timer = obs.start();
+    let compiled = CompiledSpec::with_activation_cache(spec);
+    obs.finish(phase::COMPILE, timer);
+    compiled
 }
 
 /// A bundled model by CLI name, for `lint --builtin`.
@@ -673,10 +668,11 @@ fn cmd_profile(args: &[&str]) -> Result<String, CliError> {
         })?
     };
     obs.finish(phase::PARSE, timer);
-    preflight_lint(&spec, &obs, Enumerator::default().unit_capacity())?;
+    preflight_lint(&spec, &obs)?;
 
-    let options = threaded_options(threads, Enumerator::default());
-    explore_with_obs(&spec, &options, &obs).map_err(|e| err(e.to_string()))?;
+    let compiled = compile(&spec, &obs);
+    explore_compiled_obs(&compiled, &threaded_options(threads), &obs)
+        .map_err(|e| err(e.to_string()))?;
     let report = obs.report("explore", spec.name(), threads);
     if let Some(path) = events_path {
         std::fs::write(path, obs.events_jsonl(&report))
@@ -699,7 +695,6 @@ fn cmd_explore(args: &[&str]) -> Result<String, CliError> {
     let mut csv = false;
     let mut json = false;
     let mut threads = 1usize;
-    let mut enumerator = Enumerator::default();
     let mut analysis = true;
     let mut cache_dir: Option<String> = None;
     let mut it = rest.iter();
@@ -727,13 +722,6 @@ fn cmd_explore(args: &[&str]) -> Result<String, CliError> {
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| err("--threads needs a positive integer"))?;
             }
-            "--enumerator" => {
-                enumerator = parse_enumerator(
-                    it.next()
-                        .copied()
-                        .ok_or_else(|| err("--enumerator needs flat or bnb"))?,
-                )?;
-            }
             other => return Err(err(format!("unknown flag {other:?}"))),
         }
     }
@@ -753,8 +741,8 @@ fn cmd_explore(args: &[&str]) -> Result<String, CliError> {
         load_spec(path)?
     };
     obs.finish(phase::PARSE, timer);
-    let banner = preflight_lint(&spec, &obs, enumerator.unit_capacity())?;
-    let mut options = threaded_options(threads, enumerator);
+    let banner = preflight_lint(&spec, &obs)?;
+    let mut options = threaded_options(threads);
     options.allocation.analysis = analysis;
     let started = Instant::now();
     let (result, warm) = match &cache_dir {
@@ -765,15 +753,16 @@ fn cmd_explore(args: &[&str]) -> Result<String, CliError> {
             (outcome.result, Some(outcome.summary))
         }
         None => (
-            explore_with_obs(&spec, &options, &obs).map_err(|e| err(e.to_string()))?,
+            explore_compiled_obs(&compile(&spec, &obs), &options, &obs)
+                .map_err(|e| err(e.to_string()))?,
             None,
         ),
     };
     let elapsed = started.elapsed();
     if json && profile != ProfileMode::Json {
-        // The fingerprint plus the front: enumerator-, thread- and
-        // warm-level-independent, so a warm run diffs byte-for-byte
-        // against a cold one.
+        // The fingerprint plus the front: thread- and warm-level-
+        // independent, so a warm run diffs byte-for-byte against a cold
+        // one.
         let fp = warm
             .as_ref()
             .map_or_else(|| fingerprint(&CompiledSpec::new(&spec)), |s| s.fingerprint);
@@ -840,8 +829,8 @@ fn cmd_explore(args: &[&str]) -> Result<String, CliError> {
 }
 
 /// The `explore --json` payload: the spec's content fingerprint plus its
-/// Pareto front. Byte-identical across enumerators, thread counts and
-/// warm-start levels.
+/// Pareto front. Byte-identical across thread counts and warm-start
+/// levels.
 #[derive(Serialize)]
 struct ExploreJson {
     fingerprint: String,
@@ -933,7 +922,7 @@ fn watch_loop(args: &[&str], emit: &mut dyn FnMut(&str)) -> Result<(), CliError>
             .to_string()
     });
     let cache = ExploreCache::new(&cache_dir);
-    let options = threaded_options(resolve_threads(threads), Enumerator::default());
+    let options = threaded_options(resolve_threads(threads));
     emit(&format!(
         "watching {path} (cache {cache_dir}, poll {poll_ms} ms)"
     ));
@@ -1028,12 +1017,11 @@ fn render_watch_cycle(
 
 /// Explore options with the requested thread count applied to both the
 /// candidate scan and the EXPLORE driver (0 = all cores; any value
-/// produces the same output) and the chosen subset enumerator.
-fn threaded_options(threads: usize, enumerator: Enumerator) -> ExploreOptions {
+/// produces the same output).
+fn threaded_options(threads: usize) -> ExploreOptions {
     ExploreOptions {
         allocation: AllocationOptions {
             threads,
-            enumerator,
             ..AllocationOptions::default()
         },
         ..ExploreOptions::paper()
@@ -1041,24 +1029,11 @@ fn threaded_options(threads: usize, enumerator: Enumerator) -> ExploreOptions {
     .with_threads(threads)
 }
 
-/// Parses the `--enumerator` value: `bnb` (the default branch-and-bound
-/// lattice search) or `flat` (the exhaustive subset-scan oracle).
-fn parse_enumerator(value: &str) -> Result<Enumerator, CliError> {
-    match value {
-        "flat" => Ok(Enumerator::Flat),
-        "bnb" => Ok(Enumerator::BranchAndBound),
-        other => Err(err(format!(
-            "--enumerator needs flat or bnb, got {other:?}"
-        ))),
-    }
-}
-
 fn cmd_resilience(args: &[&str]) -> Result<String, CliError> {
     let (path, rest) = split_path(args)?;
     let (profile, rest) = take_profile(rest);
     let mut k = 1usize;
     let mut threads = 1usize;
-    let mut enumerator = Enumerator::default();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         match *flag {
@@ -1074,13 +1049,6 @@ fn cmd_resilience(args: &[&str]) -> Result<String, CliError> {
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| err("--threads needs a positive integer"))?;
             }
-            "--enumerator" => {
-                enumerator = parse_enumerator(
-                    it.next()
-                        .copied()
-                        .ok_or_else(|| err("--enumerator needs flat or bnb"))?,
-                )?;
-            }
             other => return Err(err(format!("unknown flag {other:?}"))),
         }
     }
@@ -1089,10 +1057,11 @@ fn cmd_resilience(args: &[&str]) -> Result<String, CliError> {
     let timer = obs.start();
     let spec = load_spec(path)?;
     obs.finish(phase::PARSE, timer);
-    let banner = preflight_lint(&spec, &obs, enumerator.unit_capacity())?;
-    let options = threaded_options(threads, enumerator);
+    let banner = preflight_lint(&spec, &obs)?;
+    let options = threaded_options(threads);
     let started = Instant::now();
-    let front = explore_resilient_obs(&spec, k, &options, &obs).map_err(|e| err(e.to_string()))?;
+    let front = explore_resilient(&compile(&spec, &obs), k, &options, &obs)
+        .map_err(|e| err(e.to_string()))?;
     let elapsed = started.elapsed();
     let mut out = banner;
     let _ = writeln!(
@@ -1254,7 +1223,6 @@ fn cmd_faults(args: &[&str]) -> Result<String, CliError> {
     let mut k = 1usize;
     let mut trace_length = 20usize;
     let mut threads = 1usize;
-    let mut enumerator = Enumerator::default();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -1309,7 +1277,6 @@ fn cmd_faults(args: &[&str]) -> Result<String, CliError> {
                     .parse()
                     .map_err(|_| err("--threads needs a positive integer"))?;
             }
-            "--enumerator" => enumerator = parse_enumerator(value("--enumerator")?)?,
             other => return Err(err(format!("unknown flag {other:?}"))),
         }
     }
@@ -1319,12 +1286,11 @@ fn cmd_faults(args: &[&str]) -> Result<String, CliError> {
     let timer = obs.start();
     let spec = load_spec(path)?;
     obs.finish(phase::PARSE, timer);
-    let banner = preflight_lint(&spec, &obs, enumerator.unit_capacity())?;
+    let banner = preflight_lint(&spec, &obs)?;
     let timer = obs.start();
-    let point =
-        max_flexibility_under_budget(&spec, Cost::new(budget), &threaded_options(1, enumerator))
-            .map_err(|e| err(e.to_string()))?
-            .ok_or_else(|| err("no feasible platform within the budget"))?;
+    let point = max_flexibility_under_budget(&spec, Cost::new(budget), &threaded_options(1))
+        .map_err(|e| err(e.to_string()))?
+        .ok_or_else(|| err("no feasible platform within the budget"))?;
     obs.finish(phase::SELECT, timer);
     let implementation = point
         .implementation
@@ -1468,8 +1434,8 @@ fn cmd_faults(args: &[&str]) -> Result<String, CliError> {
     // The kill-set sweep is byte-identical for every thread count, so the
     // seeded-run determinism of this command is unaffected (no timing is
     // printed here for the same reason).
-    let resilience = k_resilient_flexibility_obs(
-        &spec,
+    let resilience = k_resilient_flexibility(
+        &compile(&spec, &obs),
         &implementation,
         k,
         &ImplementOptions::default(),
@@ -2105,16 +2071,28 @@ mod tests {
     }
 
     #[test]
-    fn preflight_gate_checks_the_selected_enumerator_capacity() {
-        // 102 units fit branch-and-bound's masks but overflow the flat
-        // scan's u64 counter: the gate must reject with the F013 lint
-        // diagnostic (citing the flat limit) instead of letting the
-        // enumerator fail with an opaque overflow error later.
-        let e = run_strs(&["explore", "synthetic-wide", "--enumerator", "flat"]).unwrap_err();
+    fn preflight_gate_rejects_specs_past_the_mask_capacity() {
+        // 257 units overflow the lattice search's subset masks: the gate
+        // must reject with the F013 lint diagnostic instead of letting the
+        // enumeration fail with an opaque overflow error later.
+        let mut p = ProblemGraph::new("p");
+        let t = p.add_process(Scope::Top, "t");
+        let mut a = ArchitectureGraph::new("a");
+        let cpu = a.add_resource(Scope::Top, "cpu", Cost::new(1));
+        for k in 0..flexplore::spec::MAX_UNITS {
+            a.add_resource(Scope::Top, format!("r{k}"), Cost::new(1));
+        }
+        let mut spec = SpecificationGraph::new("too-wide", p, a);
+        spec.add_mapping(t, cpu, Time::from_ns(1)).unwrap();
+        let dir = std::env::temp_dir().join("flexplore-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("too-wide.json");
+        std::fs::write(&path, spec_to_json(&spec).unwrap()).unwrap();
+        let e = run_strs(&["explore", path.to_str().unwrap()]).unwrap_err();
         assert_eq!(e.code, 2, "{e:?}");
         assert!(e.message.contains("pre-flight lint"), "{e:?}");
         assert!(e.message.contains("F013"), "{e:?}");
-        assert!(e.message.contains("63-unit"), "{e:?}");
+        assert!(e.message.contains("256-unit"), "{e:?}");
     }
 
     #[test]
@@ -2237,19 +2215,8 @@ mod tests {
     }
 
     #[test]
-    fn enumerator_flag_selects_the_engine_and_json_fronts_diff_clean() {
-        let path = stb_path("stb-enumerator.json");
-
-        // The two engines emit a byte-identical JSON front.
-        let bnb = run_strs(&["explore", &path, "--enumerator", "bnb", "--json"]).unwrap();
-        let flat = run_strs(&["explore", &path, "--enumerator", "flat", "--json"]).unwrap();
-        assert_eq!(bnb, flat, "front JSON must not depend on the enumerator");
-        assert!(bnb.contains("\"flexibility\""), "{bnb}");
-
-        // Human-readable output agrees too (modulo runtime lines).
-        let b = run_strs(&["explore", &path]).unwrap();
-        let f = run_strs(&["explore", &path, "--enumerator", "flat"]).unwrap();
-        assert_eq!(strip_runtime_lines(&b), strip_runtime_lines(&f));
+    fn lattice_counters_surface_and_the_enumerator_flag_is_gone() {
+        let path = stb_path("stb-lattice-counters.json");
 
         // The lattice counters surface in the text profile table.
         let out = run_strs(&["explore", &path, "--profile", "text"]).unwrap();
@@ -2257,27 +2224,17 @@ mod tests {
             assert!(out.contains(needle), "missing {needle} in {out}");
         }
 
-        // And carry the expected values in the JSON report: the flat scan
-        // visits every subset, branch-and-bound prunes subtrees.
+        // And carry the expected values in the JSON report: the lattice
+        // search prunes subtrees and visits a fraction of the subsets.
         let out = run_strs(&["explore", &path, "--profile", "json"]).unwrap();
         let report = RunReport::from_json(&out).unwrap();
         assert!(report.counter("subtrees_pruned").unwrap() > 0, "{out}");
-        let out = run_strs(&[
-            "explore",
-            &path,
-            "--enumerator",
-            "flat",
-            "--profile",
-            "json",
-        ])
-        .unwrap();
-        let report = RunReport::from_json(&out).unwrap();
-        assert_eq!(report.counter("subtrees_pruned"), Some(0));
-        assert_eq!(report.counter("estimate_memo_hits"), Some(0));
-        assert_eq!(report.counter("nodes_visited"), report.counter("subsets"));
+        assert!(report.counter("nodes_visited") < report.counter("subsets"));
 
-        let e = run_strs(&["explore", &path, "--enumerator", "breadth"]).unwrap_err();
-        assert!(e.message.contains("flat or bnb"), "{}", e.message);
+        // The flat scan is a test oracle, not an engine choice.
+        let e = run_strs(&["explore", &path, "--enumerator", "flat"]).unwrap_err();
+        assert_eq!(e.code, 2, "{e:?}");
+        assert!(e.message.contains("unknown flag"), "{}", e.message);
     }
 
     #[test]

@@ -74,20 +74,17 @@ pub use flexplore_adaptive::{
     FaultScenario, ReconfigCost,
 };
 pub use flexplore_bind::{
-    implement_allocation, implement_allocation_batch_obs, implement_allocation_compiled,
-    implement_allocation_obs, implement_default, BindOptions, BindingBatch, ImplementOptions,
+    implement_allocation, implement_default, BindOptions, BindingBatch, ImplementOptions,
     Implementation,
 };
 pub use flexplore_explore::{
-    exhaustive_explore, explore, explore_compiled, explore_compiled_obs, explore_compiled_warm,
-    explore_resilient, explore_resilient_obs, explore_upgrades, explore_weighted, explore_with_obs,
-    k_resilient_flexibility, k_resilient_flexibility_obs, k_resilient_flexibility_threaded,
-    max_flexibility_under_budget, min_cost_for_flexibility, moea_explore, options_hash,
-    possible_resource_allocations, possible_resource_allocations_compiled, remaining_flexibility,
-    remaining_flexibility_compiled, resolve_threads, spec_delta, AllocationOptions, CacheEntry,
-    CachedCandidate, DesignPoint, Enumerator, ExploreCache, ExploreOptions, ExploreResult,
-    ExploreStats, MoeaOptions, ParetoFront, ResilienceReport, ResilientDesignPoint, ShardedMemo,
-    SpecDelta, WarmMode, WarmOutcome, WarmSummary, CACHE_FORMAT,
+    exhaustive_explore, explore, explore_compiled_obs, explore_compiled_warm, explore_resilient,
+    explore_upgrades, explore_weighted, k_resilient_flexibility, max_flexibility_under_budget,
+    min_cost_for_flexibility, moea_explore, options_hash, possible_resource_allocations,
+    remaining_flexibility, resolve_threads, spec_delta, AllocationOptions, CacheEntry,
+    CachedCandidate, DesignPoint, ExploreCache, ExploreOptions, ExploreResult, ExploreStats,
+    MoeaOptions, ParetoFront, ResilienceReport, ResilientDesignPoint, ShardedMemo, SpecDelta,
+    WarmMode, WarmOutcome, WarmSummary, CACHE_FORMAT,
 };
 pub use flexplore_flex::{
     estimate_flexibility, estimate_with_compiled, flexibility, flexibility_profile,

@@ -11,64 +11,20 @@
 //! number of communication resources."*
 
 use crate::error::ExploreError;
-use flexplore_flex::{estimate_with_compiled, FlexibilityEstimate};
-use flexplore_hgraph::{NodeRef, VertexId};
+use flexplore_flex::FlexibilityEstimate;
 use flexplore_lint::{compute_facts_obs, AnalysisFacts};
 use flexplore_obs::{phase, ObsSink};
-use flexplore_spec::{
-    CompiledSpec, Cost, ResourceAllocation, ResourceKind, SpecificationGraph, UnitMask,
-};
+use flexplore_spec::{CompiledSpec, Cost, ResourceAllocation, UnitMask, MAX_UNITS};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
 
 pub use flexplore_spec::Unit;
-
-/// Most units the flat scan's `u64` subset counter can index; the flat
-/// enumerator rejects architectures beyond this with
-/// [`ExploreError::UnitOverflow`] whatever `max_units` says. The
-/// branch-and-bound enumerator walks [`flexplore_spec::UnitMask`] subsets
-/// and is bounded by [`flexplore_spec::MAX_UNITS`] instead.
-pub(crate) const MAX_FLAT_UNITS: usize = 63;
-
-/// Which engine enumerates the possible resource allocations. Both produce
-/// byte-identical candidate lists; they differ in how much of the subset
-/// lattice they touch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Enumerator {
-    /// Scan all `2^units` subset masks flat. Exhaustive and simple — kept
-    /// as the oracle for equivalence tests and as a fallback.
-    Flat,
-    /// Branch-and-bound DFS over the allocation lattice: monotone
-    /// feasibility bounds prune infeasible subtrees wholesale, uniformly
-    /// feasible subtrees are emitted without per-subset search, and a memo
-    /// keyed by the estimate-relevant submask deduplicates estimate calls.
-    #[default]
-    BranchAndBound,
-}
-
-impl Enumerator {
-    /// Most units this enumerator's subset representation can index: the
-    /// flat scan counts masks in a `u64`, branch-and-bound walks
-    /// [`flexplore_spec::UnitMask`] subsets bounded by
-    /// [`flexplore_spec::MAX_UNITS`]. The pre-flight lint gate checks
-    /// `F013` against this per-enumerator capacity.
-    #[must_use]
-    pub fn unit_capacity(self) -> usize {
-        match self {
-            Enumerator::Flat => MAX_FLAT_UNITS,
-            Enumerator::BranchAndBound => flexplore_spec::MAX_UNITS,
-        }
-    }
-}
 
 /// Options controlling allocation enumeration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AllocationOptions {
     /// Hard limit on the number of allocatable units (the enumeration
-    /// lattice is `2^units`; the branch-and-bound enumerator visits only a
-    /// fraction of it, so counts well past the flat scan's 63-unit mask
-    /// ceiling are practical).
+    /// lattice is `2^units`; the branch-and-bound search visits only a
+    /// fraction of it, so counts well past 64 units are practical).
     pub max_units: usize,
     /// Drop allocations containing a communication resource with fewer than
     /// two allocated neighbors — the paper's "single functional component
@@ -79,18 +35,14 @@ pub struct AllocationOptions {
     /// it is dominated).
     pub prune_unusable: bool,
     /// Worker threads for the enumeration. Work is partitioned
-    /// deterministically (mask ranges for the flat scan, fixed-depth DFS
-    /// prefixes for branch-and-bound), so any thread count produces
-    /// identical output, counters included.
+    /// deterministically into fixed-depth DFS prefixes, so any thread
+    /// count produces identical output, counters included.
     pub threads: usize,
-    /// The enumeration engine.
-    pub enumerator: Enumerator,
     /// Run the static lattice analysis (mandatory units, dominated units,
     /// symmetry classes — see `flexplore_lint::analysis`) before
     /// branch-and-bound and use the proven facts to force, mirror and
     /// collapse subtrees. The candidate list is byte-identical with the
-    /// analysis on or off; only the visit counters change. Ignored by the
-    /// flat scan, which stays the analysis-free oracle.
+    /// analysis on or off; only the visit counters change.
     pub analysis: bool,
 }
 
@@ -101,7 +53,6 @@ impl Default for AllocationOptions {
             prune_useless_buses: true,
             prune_unusable: true,
             threads: 1,
-            enumerator: Enumerator::default(),
             analysis: true,
         }
     }
@@ -121,20 +72,21 @@ pub struct AllocationCandidate {
 /// Counters from one enumeration run.
 ///
 /// The sum invariant `pruned_structurally + infeasible + kept == subsets`
-/// holds for both enumerators below 64 units, and `kept` (with the exact
-/// candidate list) is byte-identical between them. At 64 units and beyond
-/// (branch-and-bound only), `subsets` and the per-subset prune counters
-/// saturate at `u64::MAX` — still deterministic, no longer exact.
-/// Per-category attribution of *pruned* subsets may differ at the margin:
-/// a subtree dropped wholesale by a monotone bound counts all its subsets
-/// under that bound's category, even ones the flat scan would have
-/// rejected for a different reason first.
+/// holds below 64 units, and `kept` (with the exact candidate list) is
+/// byte-identical to the flat-scan oracle of `crates/fuzz`, which judges
+/// every subset on its own. At 64 units and beyond, `subsets` and the
+/// per-subset prune counters saturate at `u64::MAX` — still
+/// deterministic, no longer exact. Per-category attribution of *pruned*
+/// subsets may differ from the flat scan at the margin: a subtree dropped
+/// wholesale by a monotone bound counts all its subsets under that
+/// bound's category, even ones the flat scan would have rejected for a
+/// different reason first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocationStats {
     /// Number of allocatable units (`2^units` raw subsets).
     pub units: usize,
-    /// Size of the subset lattice (equals `2^units` for both enumerators;
-    /// only the flat scan actually touches every element).
+    /// Size of the subset lattice (`2^units`; the search touches only a
+    /// fraction of it).
     pub subsets: u64,
     /// Subsets dropped by the useless-bus / unusable-unit prunings.
     pub pruned_structurally: u64,
@@ -143,26 +95,23 @@ pub struct AllocationStats {
     pub infeasible: u64,
     /// Possible resource allocations kept.
     pub kept: u64,
-    /// Decision nodes the enumerator expanded: every subset for the flat
-    /// scan, DFS nodes for branch-and-bound (subsets emitted by a
+    /// DFS nodes the lattice search expanded (subsets emitted by a
     /// uniformly-feasible fill or dropped by a subtree bound are *not*
     /// individually visited).
     pub nodes_visited: u64,
-    /// Subtree-level prune events of the lattice search (0 for the flat
-    /// scan, which judges each subset on its own).
+    /// Subtree-level prune events of the lattice search.
     pub subtrees_pruned: u64,
     /// Flexibility-estimate lookups answered by the submask memo instead of
-    /// a fresh evaluation (0 for the flat scan).
+    /// a fresh evaluation.
     pub estimate_memo_hits: u64,
     /// Estimate keys first missed by one parallel subtree walk that an
     /// earlier (in sequence order) walk had already materialized — the
     /// re-estimations the scan-wide sharded memo saves over per-walk
     /// private memos. Counted at merge time in sequence order, so the
-    /// total is identical at every thread count (0 for the flat scan).
+    /// total is identical at every thread count.
     pub memo_cross_hits: u64,
     /// Single-unit delta updates applied to the incremental estimate
-    /// trackers along the DFS path, tracker initialization included (0 for
-    /// the flat scan, which recomputes every estimate from scratch).
+    /// trackers along the DFS path, tracker initialization included.
     pub estimate_delta_pushes: u64,
     /// Exclude branches of statically mandatory units skipped outright by
     /// the analysis certificate (0 without analysis).
@@ -191,59 +140,29 @@ pub struct AllocationStats {
 
 pub use flexplore_spec::allocatable_units;
 
-/// Enumerates the possible resource allocations of `spec`, sorted by
-/// increasing cost (ties broken towards higher estimated flexibility, so
-/// cost-ordered exploration visits the most promising equal-cost candidate
-/// first).
+/// Enumerates the possible resource allocations of the compiled
+/// specification, sorted by increasing cost (ties broken towards higher
+/// estimated flexibility, so cost-ordered exploration visits the most
+/// promising equal-cost candidate first).
 ///
-/// # Errors
-///
-/// Returns [`ExploreError::TooManyUnits`] when the unit count exceeds
-/// `options.max_units`.
-pub fn possible_resource_allocations(
-    spec: &SpecificationGraph,
-    options: &AllocationOptions,
-) -> Result<(Vec<AllocationCandidate>, AllocationStats), ExploreError> {
-    let compiled = CompiledSpec::new(spec);
-    possible_resource_allocations_compiled(&compiled, options)
-}
-
-/// [`possible_resource_allocations`] over a precompiled specification
-/// context: the per-subset feasibility estimate, availability expansion and
-/// cost use the shared [`CompiledSpec`] side tables instead of walking the
-/// graphs, and the compiled context can be reused for the implement stage
-/// that follows. Output is identical to the uncompiled entry point.
-///
-/// # Errors
-///
-/// Returns [`ExploreError::TooManyUnits`] when the unit count exceeds
-/// `options.max_units`.
-pub fn possible_resource_allocations_compiled(
-    compiled: &CompiledSpec<'_>,
-    options: &AllocationOptions,
-) -> Result<(Vec<AllocationCandidate>, AllocationStats), ExploreError> {
-    possible_resource_allocations_obs(compiled, options, &ObsSink::disabled())
-}
-
-/// [`possible_resource_allocations_compiled`] with observability: the
-/// per-subset flexibility-estimation busy time is recorded into `obs` as
-/// the `enumerate.estimate` sub-phase (accumulated locally per scan range
-/// and flushed once, so worker contention on the sink is negligible).
-/// Output is identical to the unobserved entry point.
+/// The per-subset feasibility estimate, availability expansion and cost
+/// use the shared [`CompiledSpec`] side tables, and the compiled context
+/// can be reused for the implement stage that follows. The static
+/// analysis (`enumerate.analysis`) and the estimate busy time
+/// (`enumerate.estimate`) are recorded into `obs` as sub-phases; with a
+/// disabled sink no clocks are read.
 ///
 /// # Errors
 ///
 /// Returns [`ExploreError::TooManyUnits`] when the unit count exceeds
 /// `options.max_units`, and [`ExploreError::UnitOverflow`] when it exceeds
-/// the selected enumerator's representation ceiling (63 for the flat
-/// scan's `u64` counter, [`flexplore_spec::MAX_UNITS`] for
-/// branch-and-bound's multi-word subset masks).
-pub fn possible_resource_allocations_obs(
+/// the [`MAX_UNITS`] the multi-word subset masks can index.
+pub fn possible_resource_allocations(
     compiled: &CompiledSpec<'_>,
     options: &AllocationOptions,
     obs: &ObsSink,
 ) -> Result<(Vec<AllocationCandidate>, AllocationStats), ExploreError> {
-    let out = enumerate_obs(compiled, options, obs, None, false)?;
+    let out = enumerate(compiled, options, obs, None, false)?;
     Ok((out.candidates, out.stats))
 }
 
@@ -275,14 +194,14 @@ pub(crate) struct EnumerationOutput {
     pub facts: Option<AnalysisFacts>,
 }
 
-/// [`possible_resource_allocations_obs`] extended with the warm-start
-/// hooks: an optional pre-seeded estimate memo and capture of the
-/// artifacts the exploration cache persists.
+/// [`possible_resource_allocations`] extended with the warm-start hooks:
+/// an optional pre-seeded estimate memo and capture of the artifacts the
+/// exploration cache persists.
 ///
 /// # Errors
 ///
-/// See [`possible_resource_allocations_obs`].
-pub(crate) fn enumerate_obs(
+/// See [`possible_resource_allocations`].
+pub(crate) fn enumerate(
     compiled: &CompiledSpec<'_>,
     options: &AllocationOptions,
     obs: &ObsSink,
@@ -290,11 +209,10 @@ pub(crate) fn enumerate_obs(
     capture: bool,
 ) -> Result<EnumerationOutput, ExploreError> {
     let units = allocatable_units(compiled.spec());
-    let limit = options.enumerator.unit_capacity();
-    if units.len() > limit {
+    if units.len() > MAX_UNITS {
         return Err(ExploreError::UnitOverflow {
             units: units.len(),
-            limit,
+            limit: MAX_UNITS,
         });
     }
     if units.len() > options.max_units {
@@ -303,283 +221,37 @@ pub(crate) fn enumerate_obs(
             max: options.max_units,
         });
     }
-    match options.enumerator {
-        Enumerator::Flat => {
-            // The flat oracle keeps no memo: seeds are meaningless and the
-            // capture yields an empty memo (a warm run over a flat cache
-            // entry can still replay candidates and bind outcomes).
-            let (kept, stats) = flat_scan(compiled, &units, options, obs);
-            let (masks, candidates) = kept.into_iter().unzip();
-            Ok(EnumerationOutput {
-                candidates,
-                masks,
-                stats,
-                memo: Vec::new(),
-                facts: None,
-            })
-        }
-        Enumerator::BranchAndBound => {
-            let facts = if options.analysis {
-                let timer = obs.start();
-                let facts = compute_facts_obs(compiled, &units, obs);
-                obs.finish(phase::ENUMERATE_ANALYZE, timer);
-                Some(facts)
-            } else {
-                None
-            };
-            let mut out = crate::lattice::bnb_scan(
-                compiled,
-                units,
-                options,
-                facts.as_ref(),
-                obs,
-                seed,
-                capture,
-            );
-            if capture {
-                out.facts = facts;
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// The flat oracle: judge every subset mask of the lattice independently.
-fn flat_scan(
-    compiled: &CompiledSpec<'_>,
-    units: &[Unit],
-    options: &AllocationOptions,
-    obs: &ObsSink,
-) -> (Vec<(UnitMask, AllocationCandidate)>, AllocationStats) {
-    let spec = compiled.spec();
-    let mut stats = AllocationStats {
-        units: units.len(),
-        ..AllocationStats::default()
-    };
-
-    // Mapping-target set for the unusable-unit pruning.
-    let mapping_targets: BTreeSet<VertexId> = spec
-        .mapping_ids()
-        .map(|m| spec.mapping(m).resource)
-        .collect();
-
-    // Potential neighbor lists for the useless-bus pruning, at unit
-    // granularity (device clusters collapse onto their device's neighbors).
-    let neighbor_units: BTreeMap<VertexId, Vec<Unit>> = bus_neighbors(spec, units);
-
-    let n = units.len();
-    let total: u64 = 1u64 << n;
-    let context = ScanContext {
-        compiled,
-        units,
-        options,
-        mapping_targets: &mapping_targets,
-        neighbor_units: &neighbor_units,
-    };
-
-    let threads = options.threads.max(1).min(total as usize);
-    let mut kept;
-    if threads <= 1 {
-        let (k, partial) = scan_range(&context, 0..total, obs);
-        kept = k;
-        stats.merge(partial);
+    let facts = if options.analysis {
+        let timer = obs.start();
+        let facts = compute_facts_obs(compiled, &units, obs);
+        obs.finish(phase::ENUMERATE_ANALYZE, timer);
+        Some(facts)
     } else {
-        let chunk = total.div_ceil(threads as u64);
-        let results: Vec<(Vec<(UnitMask, AllocationCandidate)>, AllocationStats)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads as u64)
-                    .map(|t| {
-                        let context = &context;
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(total);
-                        scope.spawn(move || scan_range(context, lo..hi, obs))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker"))
-                    .collect()
-            });
-        kept = Vec::new();
-        for (k, partial) in results {
-            kept.extend(k);
-            stats.merge(partial);
-        }
-    }
-    kept.sort_by_key(|(_, c)| (c.cost, std::cmp::Reverse(c.estimate.value)));
-    (kept, stats)
-}
-
-impl AllocationStats {
-    fn merge(&mut self, other: AllocationStats) {
-        self.subsets += other.subsets;
-        self.pruned_structurally += other.pruned_structurally;
-        self.infeasible += other.infeasible;
-        self.kept += other.kept;
-        self.nodes_visited += other.nodes_visited;
-        self.subtrees_pruned += other.subtrees_pruned;
-        self.estimate_memo_hits += other.estimate_memo_hits;
-        self.memo_cross_hits += other.memo_cross_hits;
-        self.estimate_delta_pushes += other.estimate_delta_pushes;
-        self.analysis_mandatory_forced += other.analysis_mandatory_forced;
-        self.analysis_subtrees_skipped += other.analysis_subtrees_skipped;
-        self.symmetry_orbit_expansions += other.symmetry_orbit_expansions;
-        self.warm_hits += other.warm_hits;
-        self.warm_invalidated += other.warm_invalidated;
-        self.delta_units += other.delta_units;
-    }
-}
-
-/// Shared, read-only inputs of the subset scan.
-struct ScanContext<'a> {
-    compiled: &'a CompiledSpec<'a>,
-    units: &'a [Unit],
-    options: &'a AllocationOptions,
-    mapping_targets: &'a BTreeSet<VertexId>,
-    neighbor_units: &'a BTreeMap<VertexId, Vec<Unit>>,
-}
-
-/// Scans one contiguous mask range; the per-mask work is independent, so
-/// ranges can run on separate threads and merge afterwards.
-fn scan_range(
-    context: &ScanContext<'_>,
-    range: std::ops::Range<u64>,
-    obs: &ObsSink,
-) -> (Vec<(UnitMask, AllocationCandidate)>, AllocationStats) {
-    let arch = context.compiled.spec().architecture();
-    let options = context.options;
-    let observe = obs.is_enabled();
-    let mut estimate_calls = 0u64;
-    let mut estimate_wall = Duration::ZERO;
-    let mut stats = AllocationStats::default();
-    let mut kept = Vec::new();
-    for mask in range {
-        stats.subsets += 1;
-        stats.nodes_visited += 1;
-        let mut allocation = ResourceAllocation::new();
-        for (k, unit) in context.units.iter().enumerate() {
-            if mask & (1 << k) != 0 {
-                match unit {
-                    Unit::Vertex(v) => {
-                        allocation.vertices.insert(*v);
-                    }
-                    Unit::Cluster(c) => {
-                        allocation.clusters.insert(*c);
-                    }
-                }
-            }
-        }
-
-        if options.prune_unusable {
-            let unusable = allocation.vertices.iter().any(|&v| {
-                arch.kind(v) == ResourceKind::Functional && !context.mapping_targets.contains(&v)
-            }) || allocation.clusters.iter().any(|&c| {
-                context
-                    .compiled
-                    .cluster_leaves(c)
-                    .iter()
-                    .all(|v| !context.mapping_targets.contains(v))
-            });
-            if unusable {
-                stats.pruned_structurally += 1;
-                continue;
-            }
-        }
-
-        if options.prune_useless_buses {
-            let allocated_unit = |u: &Unit| match u {
-                Unit::Vertex(v) => allocation.vertices.contains(v),
-                Unit::Cluster(c) => allocation.clusters.contains(c),
-            };
-            let useless = allocation
-                .vertices
-                .iter()
-                .filter(|&&v| arch.kind(v) == ResourceKind::Communication)
-                .any(|v| {
-                    context
-                        .neighbor_units
-                        .get(v)
-                        .is_none_or(|ns| ns.iter().filter(|u| allocated_unit(u)).count() < 2)
-                });
-            if useless {
-                stats.pruned_structurally += 1;
-                continue;
-            }
-        }
-
-        let available = context.compiled.available_vertices(&allocation);
-        let started = observe.then(Instant::now);
-        let estimate = estimate_with_compiled(context.compiled, &available);
-        if let Some(started) = started {
-            estimate_calls += 1;
-            estimate_wall += started.elapsed();
-        }
-        if !estimate.feasible {
-            stats.infeasible += 1;
-            continue;
-        }
-        let cost = context.compiled.allocation_cost(&allocation);
-        stats.kept += 1;
-        kept.push((
-            UnitMask::from_words([mask, 0, 0, 0]),
-            AllocationCandidate {
-                allocation,
-                cost,
-                estimate,
-            },
-        ));
-    }
-    obs.add_time(phase::ENUMERATE_ESTIMATE, estimate_calls, estimate_wall);
-    (kept, stats)
-}
-
-/// For every communication vertex, the units it can link: plain endpoint
-/// vertices and, for links into a reconfigurable device, the device's
-/// design clusters.
-fn bus_neighbors(spec: &SpecificationGraph, units: &[Unit]) -> BTreeMap<VertexId, Vec<Unit>> {
-    let arch = spec.architecture();
-    let graph = arch.graph();
-    let unit_set: BTreeSet<Unit> = units.iter().copied().collect();
-    let mut out: BTreeMap<VertexId, Vec<Unit>> = BTreeMap::new();
-    let mut push = |bus: VertexId, unit: Unit| {
-        if unit_set.contains(&unit) {
-            out.entry(bus).or_default().push(unit);
-        }
+        None
     };
-    for e in graph.edge_ids() {
-        let (from, to) = graph.edge_endpoints(e);
-        let ends = [from.node, to.node];
-        for (idx, end) in ends.iter().enumerate() {
-            let NodeRef::Vertex(v) = end else { continue };
-            if arch.kind(*v) != ResourceKind::Communication {
-                continue;
-            }
-            let other = ends[1 - idx];
-            match other {
-                NodeRef::Vertex(o) => push(*v, Unit::Vertex(o)),
-                NodeRef::Interface(i) => {
-                    for &c in graph.clusters_of(i) {
-                        push(*v, Unit::Cluster(c));
-                    }
-                }
-            }
-        }
+    let mut out =
+        crate::lattice::bnb_scan(compiled, units, options, facts.as_ref(), obs, seed, capture);
+    if capture {
+        out.facts = facts;
     }
-    // A neighbor reachable through parallel links counts once, matching the
-    // OR-composed neighbor masks of the lattice search.
-    for list in out.values_mut() {
-        list.sort_unstable();
-        list.dedup();
-    }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexplore_hgraph::Scope;
+    use flexplore_hgraph::{Scope, VertexId};
     use flexplore_sched::Time;
-    use flexplore_spec::{ArchitectureGraph, ProblemGraph};
+    use flexplore_spec::{ArchitectureGraph, ProblemGraph, SpecificationGraph};
+    use std::collections::BTreeSet;
+
+    /// Enumerates `spec` through a fresh compiled context, unobserved.
+    fn enumerate_spec(
+        spec: &SpecificationGraph,
+        options: &AllocationOptions,
+    ) -> Result<(Vec<AllocationCandidate>, AllocationStats), ExploreError> {
+        possible_resource_allocations(&CompiledSpec::new(spec), options, &ObsSink::disabled())
+    }
 
     /// One process mappable to either of two CPUs; a bus between them; a
     /// third CPU no process maps to.
@@ -602,8 +274,7 @@ mod tests {
     #[test]
     fn enumeration_keeps_feasible_and_sorted() {
         let (s, r1, r2, _, bus) = spec();
-        let (cands, stats) =
-            possible_resource_allocations(&s, &AllocationOptions::default()).unwrap();
+        let (cands, stats) = enumerate_spec(&s, &AllocationOptions::default()).unwrap();
         assert_eq!(stats.units, 4);
         assert_eq!(stats.subsets, 16);
         // Feasible candidates with prunings: {r1}, {r2}, {r1,r2},
@@ -626,21 +297,21 @@ mod tests {
     #[test]
     fn unusable_resources_are_pruned() {
         let (s, _, _, dead, _) = spec();
-        let (cands, _) = possible_resource_allocations(&s, &AllocationOptions::default()).unwrap();
+        let (cands, _) = enumerate_spec(&s, &AllocationOptions::default()).unwrap();
         assert!(cands.iter().all(|c| !c.allocation.vertices.contains(&dead)));
         // Disabling the pruning brings `dead` supersets back.
         let options = AllocationOptions {
             prune_unusable: false,
             ..AllocationOptions::default()
         };
-        let (cands, _) = possible_resource_allocations(&s, &options).unwrap();
+        let (cands, _) = enumerate_spec(&s, &options).unwrap();
         assert!(cands.iter().any(|c| c.allocation.vertices.contains(&dead)));
     }
 
     #[test]
     fn dangling_buses_are_pruned() {
         let (s, r1, _, _, bus) = spec();
-        let (cands, _) = possible_resource_allocations(&s, &AllocationOptions::default()).unwrap();
+        let (cands, _) = enumerate_spec(&s, &AllocationOptions::default()).unwrap();
         // {r1, bus} has the bus with a single allocated neighbor: pruned.
         assert!(!cands
             .iter()
@@ -654,7 +325,7 @@ mod tests {
             max_units: 2,
             ..AllocationOptions::default()
         };
-        let err = possible_resource_allocations(&s, &options).unwrap_err();
+        let err = enumerate_spec(&s, &options).unwrap_err();
         assert!(matches!(
             err,
             ExploreError::TooManyUnits { units: 4, max: 2 }
@@ -671,8 +342,7 @@ mod tests {
         let _d2 = a.add_design(fpga, "cfg2", "D2", Cost::new(60)).unwrap();
         let mut s = SpecificationGraph::new("s", p, a);
         s.add_mapping(t, d1.design, Time::from_ns(1)).unwrap();
-        let (cands, stats) =
-            possible_resource_allocations(&s, &AllocationOptions::default()).unwrap();
+        let (cands, stats) = enumerate_spec(&s, &AllocationOptions::default()).unwrap();
         assert_eq!(stats.units, 2);
         // Only {D1-cluster} is feasible and useful.
         assert_eq!(cands.len(), 1);
@@ -683,14 +353,14 @@ mod tests {
     #[test]
     fn estimates_are_attached() {
         let (s, _, _, _, _) = spec();
-        let (cands, _) = possible_resource_allocations(&s, &AllocationOptions::default()).unwrap();
+        let (cands, _) = enumerate_spec(&s, &AllocationOptions::default()).unwrap();
         for c in &cands {
             assert!(c.estimate.feasible);
             assert_eq!(c.estimate.value, 1); // flat problem graph
         }
     }
     #[test]
-    fn unit_overflow_is_per_enumerator() {
+    fn unit_overflow_is_bounded_by_the_mask_capacity() {
         let wide = |count: usize| {
             let mut p = ProblemGraph::new("p");
             let _t = p.add_process(Scope::Top, "t");
@@ -700,32 +370,17 @@ mod tests {
             }
             SpecificationGraph::new("s", p, a)
         };
-        // The flat scan is bounded by its 64-bit subset counter, however
-        // generous `max_units` is.
-        let options = AllocationOptions {
-            max_units: 1000,
-            enumerator: Enumerator::Flat,
-            ..AllocationOptions::default()
-        };
-        let err = possible_resource_allocations(&wide(64), &options).unwrap_err();
-        assert!(matches!(
-            err,
-            ExploreError::UnitOverflow {
-                units: 64,
-                limit: 63
-            }
-        ));
-        // Branch-and-bound accepts the same architecture (the units are
-        // all unusable here, so the scan is trivial)...
         let options = AllocationOptions {
             max_units: 1000,
             ..AllocationOptions::default()
         };
-        let (_, stats) = possible_resource_allocations(&wide(64), &options).unwrap();
+        // Past one mask word is fine (the units are all unusable here, so
+        // the scan is trivial)...
+        let (_, stats) = enumerate_spec(&wide(64), &options).unwrap();
         assert_eq!(stats.units, 64);
-        // ...and is bounded by the multi-word mask capacity instead.
-        let err = possible_resource_allocations(&wide(flexplore_spec::MAX_UNITS + 1), &options)
-            .unwrap_err();
+        // ...and the multi-word mask capacity bounds the search, however
+        // generous `max_units` is.
+        let err = enumerate_spec(&wide(MAX_UNITS + 1), &options).unwrap_err();
         assert!(matches!(
             err,
             ExploreError::UnitOverflow {
@@ -736,47 +391,10 @@ mod tests {
     }
 
     #[test]
-    fn bnb_matches_the_flat_oracle() {
-        let (s, _, _, _, _) = spec();
-        let flat = possible_resource_allocations(
-            &s,
-            &AllocationOptions {
-                enumerator: Enumerator::Flat,
-                ..AllocationOptions::default()
-            },
-        )
-        .unwrap();
-        for threads in [1, 2, 4] {
-            let bnb = possible_resource_allocations(
-                &s,
-                &AllocationOptions {
-                    threads,
-                    ..AllocationOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(flat.0.len(), bnb.0.len());
-            for (a, b) in flat.0.iter().zip(&bnb.0) {
-                assert_eq!(a.allocation, b.allocation);
-                assert_eq!(a.cost, b.cost);
-                assert_eq!(a.estimate, b.estimate);
-            }
-            assert_eq!(flat.1.subsets, bnb.1.subsets);
-            assert_eq!(flat.1.kept, bnb.1.kept);
-            assert_eq!(
-                bnb.1.pruned_structurally + bnb.1.infeasible + bnb.1.kept,
-                bnb.1.subsets,
-                "every subset is accounted for exactly once"
-            );
-            assert!(bnb.1.nodes_visited <= flat.1.nodes_visited);
-        }
-    }
-
-    #[test]
     fn parallel_scan_matches_sequential() {
         let (s, _, _, _, _) = spec();
-        let sequential = possible_resource_allocations(&s, &AllocationOptions::default()).unwrap();
-        let parallel = possible_resource_allocations(
+        let sequential = enumerate_spec(&s, &AllocationOptions::default()).unwrap();
+        let parallel = enumerate_spec(
             &s,
             &AllocationOptions {
                 threads: 4,

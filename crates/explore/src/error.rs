@@ -16,14 +16,13 @@ pub enum ExploreError {
         /// Configured maximum.
         max: usize,
     },
-    /// The architecture has more allocatable units than the selected
-    /// enumerator can index (63 for the flat scan's `u64` subset counter,
-    /// [`flexplore_spec::MAX_UNITS`] for the branch-and-bound lattice
-    /// search), regardless of `max_units`.
+    /// The architecture has more allocatable units than the lattice
+    /// search's subset masks can index ([`flexplore_spec::MAX_UNITS`]),
+    /// regardless of `max_units`.
     UnitOverflow {
         /// Allocatable units found.
         units: usize,
-        /// The enumerator's representation ceiling.
+        /// The subset-mask capacity.
         limit: usize,
     },
     /// A per-allocation implementation attempt exceeded a bound.

@@ -18,25 +18,25 @@
 //! (the correctness property the `explore-vs-exhaustive` property tests
 //! assert).
 //!
-//! With [`ExploreOptions::threads`] > 1 the candidate scan runs on the
-//! speculative-chunk engine (see the crate's `parallel` module): batches of
-//! bound-surviving candidates are implemented concurrently against the
-//! shared [`CompiledSpec`], then merged in cost order with the pruning
-//! bound re-checked at its exact sequential value. The Pareto front and
-//! every pruning counter are **byte-identical** to the sequential run; only
+//! Steps 2 and 3 are one bind/merge loop ([`bind_merge`]), shared with the
+//! weighted exploration. It visits the candidates in chunks: at one thread
+//! a chunk is the single next candidate that survives the bound, so
+//! nothing is speculated; with [`ExploreOptions::threads`] > 1 a chunk is
+//! up to `threads × 4` bound-surviving candidates, implemented
+//! concurrently against the shared [`CompiledSpec`] (see the crate's
+//! `parallel` module), then merged in cost order with the pruning bound
+//! re-checked at its exact sequential value. The Pareto front and every
+//! pruning counter are **byte-identical** at every thread count; only
 //! [`ExploreStats::chunks_speculated`] and
-//! [`ExploreStats::speculative_waste`] depend on the thread count.
+//! [`ExploreStats::speculative_waste`] depend on it.
 
 use crate::allocations::{
-    enumerate_obs, AllocationCandidate, AllocationOptions, AllocationStats, EnumerationOutput,
-    WarmSeed,
+    enumerate, AllocationCandidate, AllocationOptions, AllocationStats, EnumerationOutput, WarmSeed,
 };
 use crate::error::ExploreError;
-use crate::parallel::{resolve_threads, run_chunk_obs, SPECULATION_DEPTH};
+use crate::parallel::{resolve_threads, run_stealing, SPECULATION_DEPTH};
 use crate::pareto::{DesignPoint, ParetoFront};
-use flexplore_bind::{
-    implement_allocation_batch_obs, BindingBatch, ImplementOptions, ImplementStats, Implementation,
-};
+use flexplore_bind::{implement_allocation, BindingBatch, ImplementOptions, Implementation};
 use flexplore_flex::FlexibilityEstimate;
 use flexplore_obs::{phase, ObsSink};
 use flexplore_spec::{CompiledSpec, SpecificationGraph, UnitMask};
@@ -141,7 +141,8 @@ pub struct ExploreResult {
     pub stats: ExploreStats,
 }
 
-/// Runs the EXPLORE algorithm on `spec`.
+/// Runs the EXPLORE algorithm on `spec`: compiles it, then runs
+/// [`explore_compiled_obs`] unobserved.
 ///
 /// # Errors
 ///
@@ -152,50 +153,23 @@ pub fn explore(
     spec: &SpecificationGraph,
     options: &ExploreOptions,
 ) -> Result<ExploreResult, ExploreError> {
-    explore_with_obs(spec, options, &ObsSink::disabled())
+    explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(spec),
+        options,
+        &ObsSink::disabled(),
+    )
 }
 
-/// [`explore`] with observability: records the `compile` phase around the
-/// [`CompiledSpec`] construction, then delegates to
-/// [`explore_compiled_obs`]. Identical output to [`explore`]; with a
-/// disabled sink no clocks are read.
-///
-/// # Errors
-///
-/// See [`explore`].
-pub fn explore_with_obs(
-    spec: &SpecificationGraph,
-    options: &ExploreOptions,
-    obs: &ObsSink,
-) -> Result<ExploreResult, ExploreError> {
-    let timer = obs.start();
-    let compiled = CompiledSpec::with_activation_cache(spec);
-    obs.finish(phase::COMPILE, timer);
-    explore_compiled_obs(&compiled, options, obs)
-}
-
-/// [`explore`] over a caller-provided [`CompiledSpec`] (build it with
-/// [`CompiledSpec::with_activation_cache`] to share the flattened
-/// activations across every candidate). Identical output to [`explore`].
-///
-/// # Errors
-///
-/// See [`explore`].
-pub fn explore_compiled(
-    compiled: &CompiledSpec<'_>,
-    options: &ExploreOptions,
-) -> Result<ExploreResult, ExploreError> {
-    explore_compiled_obs(compiled, options, &ObsSink::disabled())
-}
-
-/// [`explore_compiled`] with observability: allocation enumeration
-/// (`enumerate` + the `enumerate.estimate` sub-phase), binding checks
-/// (`bind` spans around each attempt or speculative chunk, plus the
-/// `bind.*` sub-phases of the implement pipeline), Pareto filtering
-/// (`pareto` spans around archive insertions) and per-worker speculation
-/// lanes are recorded into `obs`; the final [`ExploreStats`] are published
-/// as deterministic counters. Identical output to [`explore_compiled`];
-/// with a disabled sink no clocks are read.
+/// The EXPLORE engine over a caller-provided [`CompiledSpec`] (build it
+/// with [`CompiledSpec::with_activation_cache`] to share the flattened
+/// activations across every candidate; time that call yourself if you
+/// want a `compile` phase). Allocation enumeration (`enumerate` and its
+/// `enumerate.*` sub-phases), binding checks (`bind` spans around each
+/// chunk, plus the `bind.*` sub-phases of the implement pipeline), Pareto
+/// filtering (`pareto` spans around archive insertions) and per-worker
+/// speculation lanes are recorded into `obs`; the final [`ExploreStats`]
+/// are published as deterministic counters. Identical output with any
+/// sink; with a disabled sink no clocks are read.
 ///
 /// # Errors
 ///
@@ -253,8 +227,7 @@ pub(crate) struct ExploreCapture {
     /// order — enough to replay the enumeration without re-walking the
     /// lattice (the allocation itself is rebuilt from the mask).
     pub candidates: Vec<(UnitMask, flexplore_spec::Cost, FlexibilityEstimate)>,
-    /// Estimate memo in original unit order (empty for flat enumeration
-    /// and replayed runs).
+    /// Estimate memo in original unit order (empty for replayed runs).
     pub memo: Vec<(UnitMask, FlexibilityEstimate)>,
     /// The analysis facts the enumeration used, if any.
     pub facts: Option<flexplore_lint::AnalysisFacts>,
@@ -293,7 +266,7 @@ pub(crate) fn explore_inner(
                 facts: None,
             }
         }
-        None => enumerate_obs(
+        None => enumerate(
             compiled,
             &options.allocation,
             obs,
@@ -318,128 +291,51 @@ pub(crate) fn explore_inner(
     let mut bind_hits: u64 = 0;
     let mut bind_out: Vec<(UnitMask, Option<Implementation>)> = Vec::new();
     let mut front = ParetoFront::new();
-    let mut f_cur = 0;
-    let threads = resolve_threads(options.threads);
     // One ECA-setup cache for the whole run: sibling candidates that
-    // activate the same cluster set share one enumeration (and, on the
-    // parallel path, share it across workers).
+    // activate the same cluster set share one enumeration (and, when
+    // speculating, share it across workers).
     let batch = BindingBatch::new();
-    if threads <= 1 {
-        for (mask, candidate) in masks.iter().zip(&candidates) {
-            if options.flexibility_pruning && candidate.estimate.value <= f_cur {
-                stats.estimate_skipped += 1;
-                continue;
+    bind_merge(
+        candidates.len(),
+        options,
+        obs,
+        &mut stats,
+        |i| candidates[i].estimate.value,
+        |i| {
+            if let Some(cached) = warm_binds.get(&masks[i]) {
+                return Ok(cached.clone());
             }
-            stats.implement_attempts += 1;
-            let implemented = match warm_binds.get(mask) {
-                Some(cached) => {
-                    bind_hits += 1;
-                    cached.clone()
-                }
-                None => {
-                    let timer = obs.start();
-                    let rebuilt = lazy_units
-                        .as_deref()
-                        .map(|units| flexplore_spec::allocation_from_units(units, *mask));
-                    let (implemented, _) = implement_allocation_batch_obs(
-                        compiled,
-                        rebuilt.as_ref().unwrap_or(&candidate.allocation),
-                        &options.implement,
-                        Some(&batch),
-                        obs,
-                    )?;
-                    obs.finish(phase::BIND, timer);
-                    implemented
-                }
-            };
+            let rebuilt = lazy_units
+                .as_deref()
+                .map(|units| flexplore_spec::allocation_from_units(units, masks[i]));
+            let allocation = rebuilt.as_ref().unwrap_or(&candidates[i].allocation);
+            let (implemented, _) =
+                implement_allocation(compiled, allocation, &options.implement, Some(&batch), obs)?;
+            Ok(implemented)
+        },
+        // Warm-hit accounting happens here, over exactly the attempts the
+        // sequential run makes, so it is thread-invariant.
+        |i, implemented, f_cur| {
+            if warm_binds.contains_key(&masks[i]) {
+                bind_hits += 1;
+            }
             if capture {
-                bind_out.push((*mask, implemented.clone()));
+                bind_out.push((masks[i], implemented.clone()));
             }
             let Some(implementation) = implemented else {
-                continue;
+                return f_cur;
             };
-            stats.feasible += 1;
             let flexibility = implementation.flexibility;
             let timer = obs.start();
             let inserted = front.insert(DesignPoint::from_implementation(implementation));
             obs.finish(phase::PARETO, timer);
             if inserted {
-                f_cur = f_cur.max(flexibility);
+                f_cur.max(flexibility)
+            } else {
+                f_cur
             }
-        }
-    } else {
-        let chunk_target = threads.saturating_mul(SPECULATION_DEPTH);
-        let mut index = 0;
-        while index < candidates.len() {
-            // Collect the next chunk of candidates surviving the bound as
-            // known *now*; the bound only grows, so these skips are a
-            // subset of the sequential skips.
-            let mut chunk: Vec<(&UnitMask, &AllocationCandidate)> =
-                Vec::with_capacity(chunk_target);
-            while index < candidates.len() && chunk.len() < chunk_target {
-                let candidate = &candidates[index];
-                let mask = &masks[index];
-                index += 1;
-                if options.flexibility_pruning && candidate.estimate.value <= f_cur {
-                    stats.estimate_skipped += 1;
-                    continue;
-                }
-                chunk.push((mask, candidate));
-            }
-            if chunk.is_empty() {
-                continue;
-            }
-            stats.chunks_speculated += 1;
-            let timer = obs.start();
-            let results = run_chunk_obs(&chunk, threads, obs, |&(mask, candidate)| {
-                if let Some(cached) = warm_binds.get(mask) {
-                    return Ok((cached.clone(), ImplementStats::default()));
-                }
-                let rebuilt = lazy_units
-                    .as_deref()
-                    .map(|units| flexplore_spec::allocation_from_units(units, *mask));
-                implement_allocation_batch_obs(
-                    compiled,
-                    rebuilt.as_ref().unwrap_or(&candidate.allocation),
-                    &options.implement,
-                    Some(&batch),
-                    obs,
-                )
-            });
-            obs.finish(phase::BIND, timer);
-            // Merge in cost order, re-checking the bound at its exact
-            // sequential value; discarded results (including errors) are
-            // ones the sequential run never computed. Warm-hit accounting
-            // also happens here, over exactly the attempts the sequential
-            // run would make, so it is thread-invariant.
-            for ((mask, candidate), outcome) in chunk.iter().zip(results) {
-                if options.flexibility_pruning && candidate.estimate.value <= f_cur {
-                    stats.estimate_skipped += 1;
-                    stats.speculative_waste += 1;
-                    continue;
-                }
-                stats.implement_attempts += 1;
-                if warm_binds.contains_key(mask) {
-                    bind_hits += 1;
-                }
-                let (implemented, _) = outcome?;
-                if capture {
-                    bind_out.push((**mask, implemented.clone()));
-                }
-                let Some(implementation) = implemented else {
-                    continue;
-                };
-                stats.feasible += 1;
-                let flexibility = implementation.flexibility;
-                let timer = obs.start();
-                let inserted = front.insert(DesignPoint::from_implementation(implementation));
-                obs.finish(phase::PARETO, timer);
-                if inserted {
-                    f_cur = f_cur.max(flexibility);
-                }
-            }
-        }
-    }
+        },
+    )?;
     stats.pareto_points = front.len() as u64;
     stats.allocations.warm_hits += bind_hits;
     obs.batch_bind(batch.hits());
@@ -455,6 +351,84 @@ pub(crate) fn explore_inner(
         binds: bind_out,
     });
     Ok((ExploreResult { front, stats }, captured))
+}
+
+/// The cost-ordered bind/merge loop of EXPLORE, generic over the pruning
+/// bound (the integer flexibility of [`explore`], the weighted
+/// flexibility of [`explore_weighted`](crate::explore_weighted)).
+///
+/// Candidates `0..len` arrive in cost order; `bound(i)` is candidate `i`'s
+/// optimistic estimate. With `options.flexibility_pruning`, a candidate
+/// whose bound does not exceed the best implemented value so far (`f_cur`,
+/// starting at the bound's default of 0) is skipped. Survivors are
+/// gathered into chunks — one candidate at one thread, up to
+/// `options.threads × SPECULATION_DEPTH` when speculating — and
+/// `implement(i)` runs over each chunk on the work-stealing fan-out
+/// inside one `bind` span. The bound only grows, so the collection-time
+/// skips are a subset of the sequential ones; the
+/// merge re-checks every result in cost order against the exact current
+/// bound, discards the ones the sequential run never computes (errors
+/// included) as speculative waste, and hands the rest to
+/// `merge(i, implemented, f_cur)`, which returns the new bound.
+///
+/// Fills the bind-stage fields of `stats`: `estimate_skipped`,
+/// `implement_attempts`, `feasible`, `chunks_speculated` and
+/// `speculative_waste`.
+pub(crate) fn bind_merge<B, I, M>(
+    len: usize,
+    options: &ExploreOptions,
+    obs: &ObsSink,
+    stats: &mut ExploreStats,
+    bound: impl Fn(usize) -> B,
+    implement: I,
+    mut merge: M,
+) -> Result<(), ExploreError>
+where
+    B: Copy + Default + PartialOrd,
+    I: Fn(usize) -> Result<Option<Implementation>, ExploreError> + Sync,
+    M: FnMut(usize, Option<Implementation>, B) -> B,
+{
+    let threads = resolve_threads(options.threads);
+    let pruning = options.flexibility_pruning;
+    let speculative = threads > 1;
+    let chunk_target = if speculative {
+        threads.saturating_mul(SPECULATION_DEPTH)
+    } else {
+        1
+    };
+    let mut f_cur = B::default();
+    let mut chunk: Vec<usize> = Vec::with_capacity(chunk_target);
+    let mut next = 0;
+    while next < len {
+        chunk.clear();
+        while next < len && chunk.len() < chunk_target {
+            if pruning && bound(next) <= f_cur {
+                stats.estimate_skipped += 1;
+            } else {
+                chunk.push(next);
+            }
+            next += 1;
+        }
+        if chunk.is_empty() {
+            continue;
+        }
+        stats.chunks_speculated += u64::from(speculative);
+        let timer = obs.start();
+        let outcomes = run_stealing(&chunk, threads, obs, |_, _| 1, |&i| implement(i));
+        obs.finish(phase::BIND, timer);
+        for (&i, outcome) in chunk.iter().zip(outcomes) {
+            if pruning && bound(i) <= f_cur {
+                stats.estimate_skipped += 1;
+                stats.speculative_waste += 1;
+                continue;
+            }
+            stats.implement_attempts += 1;
+            let implemented = outcome?;
+            stats.feasible += u64::from(implemented.is_some());
+            f_cur = merge(i, implemented, f_cur);
+        }
+    }
+    Ok(())
 }
 
 /// Publishes the run's [`ExploreStats`] into `obs`: the thread-invariant
@@ -644,13 +618,14 @@ mod tests {
     fn observed_explore_is_unchanged_and_counters_are_thread_invariant() {
         let s = spec();
         let plain = explore(&s, &ExploreOptions::paper()).unwrap();
+        let compiled = CompiledSpec::with_activation_cache(&s);
         let sink1 = ObsSink::enabled();
-        let observed = explore_with_obs(&s, &ExploreOptions::paper(), &sink1).unwrap();
+        let observed = explore_compiled_obs(&compiled, &ExploreOptions::paper(), &sink1).unwrap();
         assert_eq!(plain.front.objectives(), observed.front.objectives());
         assert_eq!(plain.stats, observed.stats);
         let report1 = sink1.report("explore", "s", 1);
         let sink4 = ObsSink::enabled();
-        explore_with_obs(&s, &ExploreOptions::paper().with_threads(4), &sink4).unwrap();
+        explore_compiled_obs(&compiled, &ExploreOptions::paper().with_threads(4), &sink4).unwrap();
         let report4 = sink4.report("explore", "s", 4);
         assert_eq!(
             report1.counters_json().unwrap(),
@@ -662,7 +637,7 @@ mod tests {
             report1.counter("implement_attempts"),
             Some(plain.stats.implement_attempts)
         );
-        for expected in ["compile", "enumerate", "bind", "pareto"] {
+        for expected in ["enumerate", "bind", "pareto"] {
             assert!(
                 report1.phases.iter().any(|p| p.phase == expected),
                 "missing phase {expected}"

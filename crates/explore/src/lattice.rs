@@ -1,10 +1,11 @@
 //! Branch-and-bound search over the allocation lattice.
 //!
-//! The flat scan judges every one of the `2^units` subset masks on its
-//! own. Both pruning criteria, however, are *monotone* over the subset
-//! lattice: adding units never decreases the Def.-4 flexibility estimate
-//! (more resources can only make more processes bindable) and never makes
-//! a feasible estimate infeasible. The DFS below exploits both directions
+//! The flat scan (kept as a test oracle in `crates/fuzz`) judges every
+//! one of the `2^units` subset masks on its own. Both pruning criteria,
+//! however, are *monotone* over the subset lattice: adding units never
+//! decreases the Def.-4 flexibility estimate (more resources can only
+//! make more processes bindable) and never makes a feasible estimate
+//! infeasible. The DFS below exploits both directions
 //! of that monotonicity:
 //!
 //! * **Infeasible bound** — if the estimate of `current ∪ undecided` is
@@ -22,8 +23,7 @@
 //! Units are visited in ascending-cost order (ties keep the original unit
 //! order), so each branch accumulates cost monotonically and sibling
 //! subtrees with mandatory units die immediately. Subsets are
-//! [`UnitMask`]s, so architectures past 64 units enumerate without any
-//! flat-scan fallback.
+//! [`UnitMask`]s, so architectures past 64 units enumerate.
 //!
 //! # Incremental estimation
 //!
@@ -45,7 +45,7 @@
 //! The search always runs in two phases regardless of the thread count: a
 //! sequential DFS down to [`BNB_PREFIX_DEPTH`] that collects deferred
 //! subtree roots and fill blocks, then a fan-out of those items over the
-//! work-stealing scheduler ([`run_stealing_obs`]). Each item's sequence
+//! work-stealing scheduler ([`run_stealing`]). Each item's sequence
 //! id is its index in the deferral order, and the scheduler returns
 //! results in sequence order however the steals interleaved, so the merge
 //! replays the sequential schedule exactly. Every item runs with fresh
@@ -97,7 +97,7 @@ use crate::allocations::{
     AllocationCandidate, AllocationOptions, AllocationStats, EnumerationOutput, WarmSeed,
 };
 use crate::memo::ShardedMemo;
-use crate::parallel::run_stealing_obs;
+use crate::parallel::run_stealing;
 use flexplore_flex::{DeltaEstimator, DeltaIndex, FlexibilityEstimate};
 use flexplore_lint::AnalysisFacts;
 use flexplore_obs::{phase, ObsSink};
@@ -425,7 +425,7 @@ pub(crate) fn bnb_scan(
     let weight = |_: usize, item: &Pending| match item {
         Pending::Expand { depth, .. } | Pending::Fill { depth, .. } => (n - depth + 1) as u64,
     };
-    let (results, _steal) = run_stealing_obs(&pending, threads, obs, weight, |item| {
+    let results = run_stealing(&pending, threads, obs, weight, |item| {
         let mut st;
         match item {
             Pending::Expand {

@@ -66,14 +66,12 @@ mod warmstart;
 mod weighted;
 
 pub use allocations::{
-    allocatable_units, possible_resource_allocations, possible_resource_allocations_compiled,
-    possible_resource_allocations_obs, AllocationCandidate, AllocationOptions, AllocationStats,
-    Enumerator, Unit,
+    allocatable_units, possible_resource_allocations, AllocationCandidate, AllocationOptions,
+    AllocationStats, Unit,
 };
 pub use error::ExploreError;
 pub use explore::{
-    exhaustive_explore, explore, explore_compiled, explore_compiled_obs, explore_with_obs,
-    ExploreOptions, ExploreResult, ExploreStats,
+    exhaustive_explore, explore, explore_compiled_obs, ExploreOptions, ExploreResult, ExploreStats,
 };
 pub use memo::ShardedMemo;
 pub use moea::{moea_explore, MoeaOptions, MoeaResult};
@@ -81,9 +79,8 @@ pub use parallel::resolve_threads;
 pub use pareto::{exploration_order, DesignPoint, ParetoFront};
 pub use queries::{max_flexibility_under_budget, min_cost_for_flexibility};
 pub use resilience::{
-    explore_resilient, explore_resilient_obs, k_resilient_flexibility, k_resilient_flexibility_obs,
-    k_resilient_flexibility_threaded, remaining_flexibility, remaining_flexibility_compiled,
-    ResilienceReport, ResilientDesignPoint,
+    explore_resilient, k_resilient_flexibility, remaining_flexibility, ResilienceReport,
+    ResilientDesignPoint,
 };
 pub use upgrade::explore_upgrades;
 pub use warmstart::{

@@ -30,10 +30,11 @@ const SHARDS: usize = 64;
 /// by a mix of the mask words.
 ///
 /// The API is deliberately small: `get` clones the cached value out (so
-/// no lock is held while the caller works), and [`insert_if_absent`]
-/// keeps the first value written for a key — with pure cached functions
-/// both racers compute identical values, so "first writer wins" is just
-/// the cheapest tiebreak.
+/// no lock is held while the caller works), and
+/// [`insert_if_absent`](Self::insert_if_absent) keeps the first value
+/// written for a key — with pure cached functions both racers compute
+/// identical values, so "first writer wins" is just the cheapest
+/// tiebreak.
 #[derive(Debug)]
 pub struct ShardedMemo<V> {
     shards: Vec<Mutex<HashMap<UnitMask, V>>>,

@@ -12,8 +12,9 @@
 use crate::allocations::allocatable_units;
 use crate::error::ExploreError;
 use crate::pareto::{DesignPoint, ParetoFront};
-use flexplore_bind::{implement_allocation_compiled, ImplementOptions};
+use flexplore_bind::{implement_allocation, ImplementOptions};
 use flexplore_flex::{estimate_with_compiled, Flexibility};
+use flexplore_obs::ObsSink;
 use flexplore_spec::{
     allocation_from_units, CompiledSpec, Cost, ResourceAllocation, SpecificationGraph, UnitMask,
     MAX_UNITS, UNIT_MASK_WORDS,
@@ -145,8 +146,13 @@ pub fn moea_explore(
             }
         } else {
             *implement_attempts += 1;
-            let (implemented, _) =
-                implement_allocation_compiled(&compiled, &allocation, &options.implement)?;
+            let (implemented, _) = implement_allocation(
+                &compiled,
+                &allocation,
+                &options.implement,
+                None,
+                &ObsSink::disabled(),
+            )?;
             match implemented {
                 None => Objectives {
                     cost,

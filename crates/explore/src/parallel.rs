@@ -26,11 +26,10 @@
 //!   over the caller's weight estimates), so even the *dispatch* order is
 //!   a pure function of the input — only steals are timing-dependent.
 //!
-//! Only the scheduling counters ([`StealStats`]: tasks stolen, empty
-//! steal probes) and per-lane busy times depend on the thread count and
-//! on runtime timing; they are reported through the thread-variant
-//! section of the obs report and excluded from the equality the engines
-//! guarantee.
+//! Only the scheduling counters (tasks stolen, empty steal probes) and
+//! per-lane busy times depend on the thread count and on runtime timing;
+//! they are reported through the thread-variant section of the obs report
+//! and excluded from the equality the engines guarantee.
 //!
 //! # Stress knob
 //!
@@ -67,23 +66,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Thread-variant scheduling counters of one [`run_stealing`] call.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StealStats {
-    /// Tasks executed by a worker other than the one the deal assigned
-    /// them to.
-    pub tasks_stolen: u64,
-    /// Steal probes that found the victim's deque empty.
-    pub steal_failures: u64,
-}
-
-impl StealStats {
-    fn add(&mut self, other: StealStats) {
-        self.tasks_stolen += other.tasks_stolen;
-        self.steal_failures += other.steal_failures;
-    }
-}
-
 /// The test-only wake-order jitter (microseconds) for worker `worker`,
 /// from the `FLEXPLORE_TEST_STEAL_JITTER` seed. `None` when the knob is
 /// unset or unparsable — the hot path then never sleeps.
@@ -116,39 +98,23 @@ fn deal(weights: &[u64], workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
 }
 
 /// Evaluates `work` over `items` on up to `threads` work-stealing workers
-/// and returns the results **in item (sequence-id) order** plus the
-/// scheduling counters. `weight(index, item)` is the caller's relative
-/// cost estimate used only for the initial deal — any values produce
-/// correct output.
+/// and returns the results **in item (sequence-id) order**.
+/// `weight(index, item)` is the caller's relative cost estimate used only
+/// for the initial deal — any values produce correct output.
 ///
 /// With one worker (or at most one item) the work runs inline on the
-/// caller's stack in item order and the counters are zero.
+/// caller's stack in item order and nothing is recorded. A real fan-out
+/// records, when `obs` is enabled, one chunk event with each worker
+/// lane's task count and busy wall-clock, plus the thread-variant steal
+/// counters; with a disabled sink no clocks are read. Results are
+/// identical either way.
 pub(crate) fn run_stealing<T, R, W, F>(
     items: &[T],
     threads: usize,
+    obs: &ObsSink,
     weight: W,
     work: F,
-) -> (Vec<R>, StealStats)
-where
-    T: Sync,
-    R: Send,
-    W: Fn(usize, &T) -> u64,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, stats, _lanes) = run_stealing_lanes(items, threads, weight, false, work);
-    (results, stats)
-}
-
-/// [`run_stealing`] that additionally returns per-worker lanes
-/// `(items, busy)` when `observe` is set (lanes are empty otherwise, so
-/// no clocks are read on unobserved runs).
-fn run_stealing_lanes<T, R, W, F>(
-    items: &[T],
-    threads: usize,
-    weight: W,
-    observe: bool,
-    work: F,
-) -> (Vec<R>, StealStats, Vec<(u64, Duration)>)
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -157,11 +123,9 @@ where
 {
     let workers = threads.clamp(1, items.len().max(1));
     if workers <= 1 {
-        let started = observe.then(Instant::now);
-        let out: Vec<R> = items.iter().map(&work).collect();
-        let lanes = started.map_or_else(Vec::new, |s| vec![(items.len() as u64, s.elapsed())]);
-        return (out, StealStats::default(), lanes);
+        return items.iter().map(&work).collect();
     }
+    let observe = obs.is_enabled();
     let weights: Vec<u64> = items
         .iter()
         .enumerate()
@@ -169,7 +133,7 @@ where
         .collect();
     let deques = deal(&weights, workers);
     let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    let mut stats = StealStats::default();
+    let (mut tasks_stolen, mut steal_failures) = (0u64, 0u64);
     let mut lanes: Vec<(u64, Duration)> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -182,7 +146,7 @@ where
                     }
                     let started = observe.then(Instant::now);
                     let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut local = StealStats::default();
+                    let (mut stolen, mut failures) = (0u64, 0u64);
                     loop {
                         let mut next = deques[w].lock().expect("deque poisoned").pop_front();
                         if next.is_none() {
@@ -192,98 +156,53 @@ where
                                 let victim = (w + v) % workers;
                                 let got = deques[victim].lock().expect("deque poisoned").pop_back();
                                 if got.is_some() {
-                                    local.tasks_stolen += 1;
+                                    stolen += 1;
                                     next = got;
                                     break;
                                 }
-                                local.steal_failures += 1;
+                                failures += 1;
                             }
                         }
                         let Some(index) = next else { break };
                         out.push((index, work(&items[index])));
                     }
                     let lane = started.map(|s| (out.len() as u64, s.elapsed()));
-                    (out, local, lane)
+                    (out, stolen, failures, lane)
                 })
             })
             .collect();
         for handle in handles {
-            let (out, local, lane) = handle.join().expect("steal worker");
+            let (out, stolen, failures, lane) = handle.join().expect("steal worker");
             for (index, result) in out {
                 slots[index] = Some(result);
             }
-            stats.add(local);
-            if let Some(lane) = lane {
-                lanes.push(lane);
-            }
+            tasks_stolen += stolen;
+            steal_failures += failures;
+            lanes.extend(lane);
         }
     });
-    let results = slots
+    obs.chunk(&lanes);
+    obs.scheduler(tasks_stolen, steal_failures);
+    slots
         .into_iter()
         .map(|r| r.expect("every task index is claimed by exactly one worker"))
-        .collect();
-    (results, stats, lanes)
-}
-
-/// [`run_stealing`] with observability: records one chunk event plus each
-/// worker lane's task count and busy wall-clock, and the steal counters,
-/// into `obs`. With a disabled sink this *is* [`run_stealing`] — no
-/// timing, no extra allocation. Results are identical either way.
-pub(crate) fn run_stealing_obs<T, R, W, F>(
-    items: &[T],
-    threads: usize,
-    obs: &ObsSink,
-    weight: W,
-    work: F,
-) -> (Vec<R>, StealStats)
-where
-    T: Sync,
-    R: Send,
-    W: Fn(usize, &T) -> u64,
-    F: Fn(&T) -> R + Sync,
-{
-    if !obs.is_enabled() {
-        return run_stealing(items, threads, weight, work);
-    }
-    let (results, stats, lanes) = run_stealing_lanes(items, threads, weight, true, work);
-    obs.chunk(&lanes);
-    obs.scheduler(stats.tasks_stolen, stats.steal_failures);
-    (results, stats)
-}
-
-/// Uniform-weight convenience over [`run_stealing`]: evaluates `work`
-/// over `items` and returns the results in item order. The unit weights
-/// make the deal a plain round-robin; stealing still rebalances uneven
-/// task durations at runtime.
-pub(crate) fn run_chunk<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_stealing(items, threads, |_, _| 1, work).0
-}
-
-/// [`run_chunk`] with per-worker-lane observability (see
-/// [`run_stealing_obs`]). Results are identical to [`run_chunk`].
-pub(crate) fn run_chunk_obs<T, R, F>(items: &[T], threads: usize, obs: &ObsSink, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_stealing_obs(items, threads, obs, |_, _| 1, work).0
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Uniform-weight fan-out with a disabled sink.
+    fn run<R: Send>(items: &[usize], threads: usize, work: impl Fn(&usize) -> R + Sync) -> Vec<R> {
+        run_stealing(items, threads, &ObsSink::disabled(), |_, _| 1, work)
+    }
+
     #[test]
     fn results_keep_item_order() {
         let items: Vec<usize> = (0..37).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = run_chunk(&items, threads, |&i| i * 2);
+            let out = run(&items, threads, |&i| i * 2);
             assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
         }
     }
@@ -291,7 +210,7 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         let items: Vec<usize> = Vec::new();
-        assert!(run_chunk(&items, 4, |&i| i).is_empty());
+        assert!(run(&items, 4, |&i| i).is_empty());
     }
 
     #[test]
@@ -309,7 +228,13 @@ mod tests {
         // order — the output must still be sequence-ordered.
         let items: Vec<u64> = (0..23).collect();
         for threads in [2, 5, 23, 40] {
-            let (out, _) = run_stealing(&items, threads, |_, &v| v, |&v| v + 100);
+            let out = run_stealing(
+                &items,
+                threads,
+                &ObsSink::disabled(),
+                |_, &v| v,
+                |&v| v + 100,
+            );
             assert_eq!(out, (0..23).map(|v| v + 100).collect::<Vec<_>>());
         }
     }
@@ -319,9 +244,11 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let items: Vec<usize> = (0..101).collect();
         let calls = AtomicU64::new(0);
-        let (out, stats) = run_stealing(
+        let sink = ObsSink::enabled();
+        let out = run_stealing(
             &items,
             7,
+            &sink,
             |_, _| 1,
             |&i| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -331,7 +258,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 101);
         assert_eq!(out, items);
         // Steal accounting never exceeds the task count.
-        assert!(stats.tasks_stolen <= 101);
+        assert!(sink.report("steal", "t", 7).speculation.tasks_stolen <= 101);
     }
 
     #[test]
@@ -350,10 +277,10 @@ mod tests {
         // The jitter helper is a pure function of (env seed, worker).
         assert_eq!(steal_jitter(0).is_some(), steal_jitter(1).is_some());
         let items: Vec<usize> = (0..29).collect();
-        let baseline = run_chunk(&items, 4, |&i| i * 3);
+        let baseline = run(&items, 4, |&i| i * 3);
         // Even racing env readers only ever see timing change, not output.
         std::env::set_var("FLEXPLORE_TEST_STEAL_JITTER", "42");
-        let jittered = run_chunk(&items, 4, |&i| i * 3);
+        let jittered = run(&items, 4, |&i| i * 3);
         std::env::remove_var("FLEXPLORE_TEST_STEAL_JITTER");
         assert_eq!(baseline, jittered);
     }
@@ -363,15 +290,17 @@ mod tests {
         let items: Vec<usize> = (0..10).collect();
         for threads in [1, 3] {
             let sink = ObsSink::enabled();
-            let out = run_chunk_obs(&items, threads, &sink, |&i| i + 1);
-            assert_eq!(out, run_chunk(&items, threads, |&i| i + 1));
+            let out = run_stealing(&items, threads, &sink, |_, _| 1, |&i| i + 1);
+            assert_eq!(out, run(&items, threads, |&i| i + 1));
             let report = sink.report("chunk", "t", threads);
             let lane_items: u64 = report.speculation.workers.iter().map(|w| w.items).sum();
-            assert_eq!(lane_items, 10, "every item is attributed to a lane");
+            // Lanes describe a real fan-out; an inline run records none.
+            let expected = if threads > 1 { 10 } else { 0 };
+            assert_eq!(lane_items, expected, "every fanned-out item is in a lane");
         }
         // Disabled sink: same results, nothing recorded.
         let sink = ObsSink::disabled();
-        let out = run_chunk_obs(&items, 3, &sink, |&i| i + 1);
+        let out = run_stealing(&items, 3, &sink, |_, _| 1, |&i| i + 1);
         assert_eq!(out.len(), 10);
         assert!(sink.report("chunk", "t", 3).speculation.workers.is_empty());
     }

@@ -7,12 +7,13 @@
 //! [`explore`](crate::explore) but terminate early, so they are cheaper
 //! than computing the full front and reading it off.
 
-use crate::allocations::possible_resource_allocations_compiled;
+use crate::allocations::possible_resource_allocations;
 use crate::error::ExploreError;
 use crate::explore::ExploreOptions;
 use crate::pareto::DesignPoint;
-use flexplore_bind::implement_allocation_compiled;
+use flexplore_bind::implement_allocation;
 use flexplore_flex::Flexibility;
+use flexplore_obs::ObsSink;
 use flexplore_spec::{CompiledSpec, Cost, SpecificationGraph};
 
 /// Finds the cheapest implementation with flexibility at least `target`.
@@ -32,15 +33,21 @@ pub fn min_cost_for_flexibility(
     options: &ExploreOptions,
 ) -> Result<Option<DesignPoint>, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
-    let (candidates, _) = possible_resource_allocations_compiled(&compiled, &options.allocation)?;
+    let (candidates, _) =
+        possible_resource_allocations(&compiled, &options.allocation, &ObsSink::disabled())?;
     for candidate in &candidates {
         // The estimate is an upper bound: candidates that cannot reach the
         // target are skipped without invoking the solver.
         if options.flexibility_pruning && candidate.estimate.value < target {
             continue;
         }
-        let (implemented, _) =
-            implement_allocation_compiled(&compiled, &candidate.allocation, &options.implement)?;
+        let (implemented, _) = implement_allocation(
+            &compiled,
+            &candidate.allocation,
+            &options.implement,
+            None,
+            &ObsSink::disabled(),
+        )?;
         if let Some(implementation) = implemented {
             if implementation.flexibility >= target {
                 return Ok(Some(DesignPoint::from_implementation(implementation)));
@@ -65,7 +72,8 @@ pub fn max_flexibility_under_budget(
     options: &ExploreOptions,
 ) -> Result<Option<DesignPoint>, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
-    let (candidates, _) = possible_resource_allocations_compiled(&compiled, &options.allocation)?;
+    let (candidates, _) =
+        possible_resource_allocations(&compiled, &options.allocation, &ObsSink::disabled())?;
     let mut best: Option<DesignPoint> = None;
     for candidate in &candidates {
         if candidate.cost > budget {
@@ -75,8 +83,13 @@ pub fn max_flexibility_under_budget(
         if options.flexibility_pruning && candidate.estimate.value <= incumbent {
             continue;
         }
-        let (implemented, _) =
-            implement_allocation_compiled(&compiled, &candidate.allocation, &options.implement)?;
+        let (implemented, _) = implement_allocation(
+            &compiled,
+            &candidate.allocation,
+            &options.implement,
+            None,
+            &ObsSink::disabled(),
+        )?;
         if let Some(implementation) = implemented {
             if implementation.flexibility > incumbent {
                 best = Some(DesignPoint::from_implementation(implementation));

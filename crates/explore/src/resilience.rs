@@ -17,11 +17,11 @@
 //! [`ImplementOptions::with_excluded_resources`] — the same machinery the
 //! run-time manager uses for degraded rebinding.
 
-use crate::allocations::possible_resource_allocations_obs;
+use crate::allocations::possible_resource_allocations;
 use crate::error::ExploreError;
 use crate::explore::ExploreOptions;
-use crate::parallel::{resolve_threads, run_chunk_obs, SPECULATION_DEPTH};
-use flexplore_bind::{implement_allocation_obs, ImplementOptions, Implementation};
+use crate::parallel::{resolve_threads, run_stealing, SPECULATION_DEPTH};
+use flexplore_bind::{implement_allocation, ImplementOptions, Implementation};
 use flexplore_flex::Flexibility;
 use flexplore_hgraph::{ClusterId, VertexId};
 use flexplore_obs::{phase, ObsSink};
@@ -75,40 +75,29 @@ fn kill_units(implementation: &Implementation) -> Vec<KillUnit> {
 /// the `dead` resources are masked out of the binding search. Returns 0
 /// when the degraded platform no longer implements every top-level
 /// behavior — under the paper's definition such a platform implements
-/// nothing.
+/// nothing. The masked search's `bind.*` sub-phases are recorded into
+/// `obs`.
 ///
 /// # Errors
 ///
 /// Propagates binding-search bound violations as
 /// [`ExploreError::Bind`].
 pub fn remaining_flexibility(
-    spec: &SpecificationGraph,
-    implementation: &Implementation,
-    dead: &BTreeSet<VertexId>,
-    options: &ImplementOptions,
-) -> Result<Flexibility, ExploreError> {
-    let compiled = CompiledSpec::new(spec);
-    remaining_flexibility_compiled(&compiled, implementation, dead, options)
-}
-
-/// [`remaining_flexibility`] over a precompiled specification context.
-///
-/// # Errors
-///
-/// Propagates binding-search bound violations as [`ExploreError::Bind`].
-pub fn remaining_flexibility_compiled(
     compiled: &CompiledSpec<'_>,
     implementation: &Implementation,
     dead: &BTreeSet<VertexId>,
     options: &ImplementOptions,
+    obs: &ObsSink,
 ) -> Result<Flexibility, ExploreError> {
-    remaining_flexibility_obs(
-        compiled,
-        implementation,
-        dead,
-        options,
-        &ObsSink::disabled(),
-    )
+    if dead.is_empty() {
+        return Ok(implementation.flexibility);
+    }
+    let mut excluded = options.excluded_resources.clone();
+    excluded.extend(dead.iter().copied());
+    let masked = options.clone().with_excluded_resources(excluded);
+    let (implemented, _) =
+        implement_allocation(compiled, &implementation.allocation, &masked, None, obs)?;
+    Ok(implemented.map_or(0, |i| i.flexibility))
 }
 
 /// Result of a [`k_resilient_flexibility`] analysis.
@@ -137,76 +126,21 @@ pub struct ResilienceReport {
 /// realized by a kill set of exactly `min(k, units)` — smaller sets are
 /// still evaluated to report how quickly the flexibility decays.
 ///
+/// The sweep fans out over `threads` workers (`0` = all available
+/// cores). Kill sets are enumerated in a canonical order (by size, then
+/// lexicographically) and evaluated in deterministic chunks whose results
+/// merge back in enumeration order, so the report — including the
+/// worst-case kill set, which ties break towards the earliest strict
+/// decrease — is identical for every thread count. A `resilience` span
+/// around the sweep, the `bind.*` sub-phases of every degraded
+/// re-implementation and the deterministic `kill_evaluations` counter are
+/// recorded into `obs`.
+///
 /// # Errors
 ///
 /// Propagates binding-search bound violations as
 /// [`ExploreError::Bind`].
 pub fn k_resilient_flexibility(
-    spec: &SpecificationGraph,
-    implementation: &Implementation,
-    k: usize,
-    options: &ImplementOptions,
-) -> Result<ResilienceReport, ExploreError> {
-    k_resilient_flexibility_threaded(spec, implementation, k, options, 1)
-}
-
-/// [`k_resilient_flexibility`] with the kill-set sweep fanned out over
-/// `threads` workers (`0` = all available cores).
-///
-/// Kill sets are enumerated in a canonical order (by size, then
-/// lexicographically) and evaluated in deterministic chunks whose results
-/// merge back in enumeration order, so the report — including the
-/// worst-case kill set, which ties break towards the earliest strict
-/// decrease — is identical for every thread count.
-///
-/// # Errors
-///
-/// Propagates binding-search bound violations as [`ExploreError::Bind`].
-pub fn k_resilient_flexibility_threaded(
-    spec: &SpecificationGraph,
-    implementation: &Implementation,
-    k: usize,
-    options: &ImplementOptions,
-    threads: usize,
-) -> Result<ResilienceReport, ExploreError> {
-    k_resilient_flexibility_obs(
-        spec,
-        implementation,
-        k,
-        options,
-        threads,
-        &ObsSink::disabled(),
-    )
-}
-
-/// [`k_resilient_flexibility_threaded`] with observability: records the
-/// `compile` phase, a `resilience` span around the kill-set sweep, the
-/// `bind.*` sub-phases of every degraded re-implementation and the
-/// deterministic `kill_evaluations` counter into `obs`. Identical output;
-/// with a disabled sink no clocks are read.
-///
-/// # Errors
-///
-/// Propagates binding-search bound violations as [`ExploreError::Bind`].
-pub fn k_resilient_flexibility_obs(
-    spec: &SpecificationGraph,
-    implementation: &Implementation,
-    k: usize,
-    options: &ImplementOptions,
-    threads: usize,
-    obs: &ObsSink,
-) -> Result<ResilienceReport, ExploreError> {
-    let timer = obs.start();
-    let compiled = CompiledSpec::with_activation_cache(spec);
-    obs.finish(phase::COMPILE, timer);
-    let report = k_resilient_compiled(&compiled, implementation, k, options, threads, obs)?;
-    obs.set_count("kill_evaluations", report.evaluations as u64);
-    Ok(report)
-}
-
-/// Shared core of the resilience sweep over a precompiled context. Records
-/// one `resilience` span covering the whole sweep into `obs`.
-fn k_resilient_compiled(
     compiled: &CompiledSpec<'_>,
     implementation: &Implementation,
     k: usize,
@@ -229,13 +163,19 @@ fn k_resilient_compiled(
     let threads = resolve_threads(threads);
     let timer = obs.start();
     for batch in sets.chunks(threads.saturating_mul(SPECULATION_DEPTH).max(1)) {
-        let outcomes = run_chunk_obs(batch, threads, obs, |chosen| {
-            let dead: BTreeSet<VertexId> = chosen
-                .iter()
-                .flat_map(|&i| units[i].dead_vertices(spec))
-                .collect();
-            remaining_flexibility_obs(compiled, implementation, &dead, options, obs)
-        });
+        let outcomes = run_stealing(
+            batch,
+            threads,
+            obs,
+            |_, _| 1,
+            |chosen| {
+                let dead: BTreeSet<VertexId> = chosen
+                    .iter()
+                    .flat_map(|&i| units[i].dead_vertices(spec))
+                    .collect();
+                remaining_flexibility(compiled, implementation, &dead, options, obs)
+            },
+        );
         for (chosen, outcome) in batch.iter().zip(outcomes) {
             let remaining = outcome?;
             report.evaluations += 1;
@@ -246,27 +186,8 @@ fn k_resilient_compiled(
         }
     }
     obs.finish(phase::RESILIENCE, timer);
+    obs.count("kill_evaluations", report.evaluations as u64);
     Ok(report)
-}
-
-/// [`remaining_flexibility_compiled`] recording the masked binding search's
-/// `bind.*` sub-phases into `obs`.
-fn remaining_flexibility_obs(
-    compiled: &CompiledSpec<'_>,
-    implementation: &Implementation,
-    dead: &BTreeSet<VertexId>,
-    options: &ImplementOptions,
-    obs: &ObsSink,
-) -> Result<Flexibility, ExploreError> {
-    if dead.is_empty() {
-        return Ok(implementation.flexibility);
-    }
-    let mut excluded = options.excluded_resources.clone();
-    excluded.extend(dead.iter().copied());
-    let masked = options.clone().with_excluded_resources(excluded);
-    let (implemented, _) =
-        implement_allocation_obs(compiled, &implementation.allocation, &masked, obs)?;
-    Ok(implemented.map_or(0, |i| i.flexibility))
 }
 
 /// All index subsets of `0..n` with 1 to `limit` elements, by size then
@@ -334,39 +255,25 @@ impl ResilientDesignPoint {
 /// (same flexibility, higher cost) survive here when the extra units buy
 /// guaranteed flexibility under failures.
 ///
+/// The `enumerate`, `bind` (implement fan-out), `resilience` (kill sweeps)
+/// and `pareto` phases plus deterministic counters
+/// (`possible_allocations`, `implement_attempts`, `feasible`,
+/// `kill_evaluations`, `pareto_points`) are recorded into `obs`.
+/// Identical output with any sink; with a disabled sink no clocks are
+/// read.
+///
 /// # Errors
 ///
 /// See [`explore`](crate::explore) — plus anything
 /// [`k_resilient_flexibility`] can return.
 pub fn explore_resilient(
-    spec: &SpecificationGraph,
-    k: usize,
-    options: &ExploreOptions,
-) -> Result<Vec<ResilientDesignPoint>, ExploreError> {
-    explore_resilient_obs(spec, k, options, &ObsSink::disabled())
-}
-
-/// [`explore_resilient`] with observability: the `compile`, `enumerate`,
-/// `bind` (implement fan-out), `resilience` (kill sweeps) and `pareto`
-/// phases plus deterministic counters (`possible_allocations`,
-/// `implement_attempts`, `feasible`, `kill_evaluations`, `pareto_points`)
-/// are recorded into `obs`. Identical output; with a disabled sink no
-/// clocks are read.
-///
-/// # Errors
-///
-/// See [`explore_resilient`].
-pub fn explore_resilient_obs(
-    spec: &SpecificationGraph,
+    compiled: &CompiledSpec<'_>,
     k: usize,
     options: &ExploreOptions,
     obs: &ObsSink,
 ) -> Result<Vec<ResilientDesignPoint>, ExploreError> {
     let timer = obs.start();
-    let compiled = CompiledSpec::with_activation_cache(spec);
-    obs.finish(phase::COMPILE, timer);
-    let timer = obs.start();
-    let (candidates, _) = possible_resource_allocations_obs(&compiled, &options.allocation, obs)?;
+    let (candidates, _) = possible_resource_allocations(compiled, &options.allocation, obs)?;
     obs.finish(phase::ENUMERATE, timer);
     let threads = resolve_threads(options.threads);
     let mut front: Vec<ResilientDesignPoint> = Vec::new();
@@ -377,9 +284,21 @@ pub fn explore_resilient_obs(
     // cost order (no pruning bound here, so no speculation is wasted).
     for batch in candidates.chunks(threads.saturating_mul(SPECULATION_DEPTH).max(1)) {
         let timer = obs.start();
-        let outcomes = run_chunk_obs(batch, threads, obs, |candidate| {
-            implement_allocation_obs(&compiled, &candidate.allocation, &options.implement, obs)
-        });
+        let outcomes = run_stealing(
+            batch,
+            threads,
+            obs,
+            |_, _| 1,
+            |candidate| {
+                implement_allocation(
+                    compiled,
+                    &candidate.allocation,
+                    &options.implement,
+                    None,
+                    obs,
+                )
+            },
+        );
         obs.finish(phase::BIND, timer);
         for outcome in outcomes {
             implement_attempts += 1;
@@ -389,8 +308,8 @@ pub fn explore_resilient_obs(
             };
             feasible += 1;
             // Second fan-out: the kill-set sweep of this implementation.
-            let sweep = k_resilient_compiled(
-                &compiled,
+            let sweep = k_resilient_flexibility(
+                compiled,
                 &implementation,
                 k,
                 &options.implement,
@@ -445,11 +364,31 @@ mod tests {
         (stb, implementation)
     }
 
+    /// An unobserved kill-set sweep on `threads` workers.
+    fn sweep(
+        spec: &SpecificationGraph,
+        implementation: &Implementation,
+        k: usize,
+        options: &ImplementOptions,
+        threads: usize,
+    ) -> ResilienceReport {
+        let compiled = CompiledSpec::new(spec);
+        k_resilient_flexibility(
+            &compiled,
+            implementation,
+            k,
+            options,
+            threads,
+            &ObsSink::disabled(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn single_failure_strictly_reduces_set_top_box_flexibility() {
         let (stb, implementation) = platform();
         let options = ImplementOptions::default();
-        let report = k_resilient_flexibility(&stb.spec, &implementation, 1, &options).unwrap();
+        let report = sweep(&stb.spec, &implementation, 1, &options, 1);
         assert_eq!(report.baseline, implementation.flexibility);
         // Killing the lone processor leaves nothing schedulable.
         assert!(report.resilient_flexibility < report.baseline);
@@ -461,7 +400,7 @@ mod tests {
     fn zero_k_is_the_baseline() {
         let (stb, implementation) = platform();
         let options = ImplementOptions::default();
-        let report = k_resilient_flexibility(&stb.spec, &implementation, 0, &options).unwrap();
+        let report = sweep(&stb.spec, &implementation, 0, &options, 1);
         assert_eq!(report.resilient_flexibility, report.baseline);
         assert_eq!(report.evaluations, 0);
         assert!(report.worst_case.is_empty());
@@ -471,28 +410,29 @@ mod tests {
     fn remaining_flexibility_masks_the_dead_set() {
         let (stb, implementation) = platform();
         let options = ImplementOptions::default();
-        let none = BTreeSet::new();
-        assert_eq!(
-            remaining_flexibility(&stb.spec, &implementation, &none, &options).unwrap(),
-            implementation.flexibility
-        );
+        let compiled = CompiledSpec::new(&stb.spec);
+        let remaining = |dead: &BTreeSet<VertexId>| {
+            remaining_flexibility(
+                &compiled,
+                &implementation,
+                dead,
+                &options,
+                &ObsSink::disabled(),
+            )
+            .unwrap()
+        };
+        assert_eq!(remaining(&BTreeSet::new()), implementation.flexibility);
         // Losing the processor kills every software process.
-        let dead: BTreeSet<VertexId> = [stb.resource("uP2")].into_iter().collect();
-        assert_eq!(
-            remaining_flexibility(&stb.spec, &implementation, &dead, &options).unwrap(),
-            0
-        );
+        assert_eq!(remaining(&[stb.resource("uP2")].into_iter().collect()), 0);
     }
 
     #[test]
     fn threaded_sweep_matches_sequential_exactly() {
         let (stb, implementation) = platform();
         let options = ImplementOptions::default();
-        let sequential = k_resilient_flexibility(&stb.spec, &implementation, 1, &options).unwrap();
+        let sequential = sweep(&stb.spec, &implementation, 1, &options, 1);
         for threads in [2, 4, 8] {
-            let parallel =
-                k_resilient_flexibility_threaded(&stb.spec, &implementation, 1, &options, threads)
-                    .unwrap();
+            let parallel = sweep(&stb.spec, &implementation, 1, &options, threads);
             assert_eq!(sequential, parallel);
         }
     }
@@ -501,7 +441,8 @@ mod tests {
     fn resilient_front_is_pareto_consistent() {
         let stb = set_top_box();
         let options = ExploreOptions::paper();
-        let front = explore_resilient(&stb.spec, 1, &options).unwrap();
+        let compiled = CompiledSpec::with_activation_cache(&stb.spec);
+        let front = explore_resilient(&compiled, 1, &options, &ObsSink::disabled()).unwrap();
         assert!(!front.is_empty());
         for (i, a) in front.iter().enumerate() {
             for (j, b) in front.iter().enumerate() {

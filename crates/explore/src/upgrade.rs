@@ -10,11 +10,12 @@
 //! implementable (supersets never lose feasible modes; see the
 //! monotonicity property tests).
 
-use crate::allocations::possible_resource_allocations_compiled;
+use crate::allocations::possible_resource_allocations;
 use crate::error::ExploreError;
 use crate::explore::{ExploreOptions, ExploreResult, ExploreStats};
 use crate::pareto::{DesignPoint, ParetoFront};
-use flexplore_bind::implement_allocation_compiled;
+use flexplore_bind::implement_allocation;
+use flexplore_obs::ObsSink;
 use flexplore_spec::{CompiledSpec, ResourceAllocation, SpecificationGraph};
 
 /// Explores the flexibility/cost front over all allocations that contain
@@ -33,7 +34,7 @@ pub fn explore_upgrades(
 ) -> Result<ExploreResult, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
     let (candidates, alloc_stats) =
-        possible_resource_allocations_compiled(&compiled, &options.allocation)?;
+        possible_resource_allocations(&compiled, &options.allocation, &ObsSink::disabled())?;
     let mut stats = ExploreStats {
         vertex_set_size: spec.vertex_set_size(),
         allocations: alloc_stats,
@@ -50,8 +51,13 @@ pub fn explore_upgrades(
             continue;
         }
         stats.implement_attempts += 1;
-        let (implemented, _) =
-            implement_allocation_compiled(&compiled, &candidate.allocation, &options.implement)?;
+        let (implemented, _) = implement_allocation(
+            &compiled,
+            &candidate.allocation,
+            &options.implement,
+            None,
+            &ObsSink::disabled(),
+        )?;
         let Some(implementation) = implemented else {
             continue;
         };

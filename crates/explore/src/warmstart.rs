@@ -56,6 +56,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version stamp of the on-disk cache format. Bumped on any change to the
 /// line layout or the semantics of a persisted field; readers reject (with
@@ -752,13 +753,27 @@ impl ExploreCache {
 
     /// Persists `entry` under its options hash and fingerprint. Errors are
     /// returned as warning strings, never propagated.
+    ///
+    /// The body goes to a temporary file unique to this process and call,
+    /// which is then renamed onto the final name, so a concurrent reader
+    /// sees either the previous entry or the new one, never a truncated
+    /// file. The temporary name does not end in `.json`, so `load_best`
+    /// never picks it up.
     fn store(&self, options_hash: &str, entry: &CacheEntry) -> Result<(), String> {
+        static STORES: AtomicU64 = AtomicU64::new(0);
         fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cannot create cache dir {}: {e}", self.dir.display()))?;
         let name = format!("{options_hash}-{}.json", entry.signature.fingerprint);
         let body = render_entry(entry, options_hash)?;
-        let path = self.dir.join(&name);
-        fs::write(&path, body).map_err(|e| format!("cannot write cache file {name}: {e}"))
+        let store = STORES.fetch_add(1, Ordering::Relaxed);
+        let temp = self
+            .dir
+            .join(format!(".{name}.{}-{store}.tmp", std::process::id()));
+        fs::write(&temp, body).map_err(|e| format!("cannot write cache file {name}: {e}"))?;
+        fs::rename(&temp, self.dir.join(&name)).map_err(|e| {
+            let _ = fs::remove_file(&temp);
+            format!("cannot write cache file {name}: {e}")
+        })
     }
 }
 

@@ -14,12 +14,12 @@
 //! activatable clusters is still an upper bound on any implementation's
 //! weighted flexibility.
 
-use crate::allocations::{possible_resource_allocations_compiled, AllocationCandidate};
+use crate::allocations::possible_resource_allocations;
 use crate::error::ExploreError;
-use crate::explore::ExploreOptions;
-use crate::parallel::{resolve_threads, run_chunk, SPECULATION_DEPTH};
-use flexplore_bind::{implement_allocation_compiled, Implementation};
+use crate::explore::{bind_merge, ExploreOptions, ExploreStats};
+use flexplore_bind::{implement_allocation, Implementation};
 use flexplore_flex::{weighted_flexibility, FlexibilityWeights};
+use flexplore_obs::ObsSink;
 use flexplore_spec::{CompiledSpec, Cost, SpecificationGraph};
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +51,12 @@ pub struct WeightedExploreResult {
     pub front: Vec<WeightedPoint>,
     /// Binding-solver invocations.
     pub implement_attempts: u64,
+    /// Speculative candidate chunks dispatched (0 at one thread). Varies
+    /// with the thread count, like [`ExploreStats::chunks_speculated`].
+    pub chunks_speculated: u64,
+    /// Candidates implemented speculatively but discarded by the exact
+    /// merge-time bound re-check (0 at one thread).
+    pub speculative_waste: u64,
 }
 
 /// Explores the `(cost, weighted flexibility)` trade-off.
@@ -64,82 +70,49 @@ pub fn explore_weighted(
     options: &ExploreOptions,
 ) -> Result<WeightedExploreResult, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
-    let (candidates, _) = possible_resource_allocations_compiled(&compiled, &options.allocation)?;
+    let disabled = ObsSink::disabled();
+    let (candidates, _) = possible_resource_allocations(&compiled, &options.allocation, &disabled)?;
     let graph = spec.problem().graph();
     let mut front: Vec<WeightedPoint> = Vec::new();
-    let mut f_cur = 0.0f64;
-    let mut implement_attempts = 0;
-    let threads = resolve_threads(options.threads);
-    let bound_of = |candidate: &AllocationCandidate| {
-        weighted_flexibility(graph, weights, |c| {
-            candidate.estimate.activatable.contains(&c)
-        })
-    };
-    // Accepts one merged (in cost order) implement outcome; shared between
-    // the sequential loop and the speculative merge so the bound updates
-    // identically.
-    let consume =
-        |implemented: Option<Implementation>, f_cur: &mut f64, front: &mut Vec<WeightedPoint>| {
+    let mut stats = ExploreStats::default();
+    bind_merge(
+        candidates.len(),
+        options,
+        &disabled,
+        &mut stats,
+        |i| {
+            weighted_flexibility(graph, weights, |c| {
+                candidates[i].estimate.activatable.contains(&c)
+            })
+        },
+        |i| {
+            let (implemented, _) = implement_allocation(
+                &compiled,
+                &candidates[i].allocation,
+                &options.implement,
+                None,
+                &disabled,
+            )?;
+            Ok(implemented)
+        },
+        |_, implemented, f_cur| {
             let Some(implementation) = implemented else {
-                return;
+                return f_cur;
             };
             let value = weighted_flexibility(graph, weights, |c| {
                 implementation.covered_clusters.contains(&c)
             });
-            if value > *f_cur {
-                *f_cur = value;
-                front.push(WeightedPoint {
-                    cost: implementation.cost,
-                    weighted_flexibility: value,
-                    implementation,
-                });
+            if value <= f_cur {
+                return f_cur;
             }
-        };
-    if threads <= 1 {
-        for candidate in &candidates {
-            if options.flexibility_pruning && bound_of(candidate) <= f_cur {
-                continue;
-            }
-            implement_attempts += 1;
-            let (implemented, _) = implement_allocation_compiled(
-                &compiled,
-                &candidate.allocation,
-                &options.implement,
-            )?;
-            consume(implemented, &mut f_cur, &mut front);
-        }
-    } else {
-        // Speculative chunks, as in `explore`: the collection-time bound is
-        // a lower snapshot of the sequential bound (it only grows), and the
-        // merge-time re-check reproduces the sequential decision exactly.
-        let chunk_target = threads.saturating_mul(SPECULATION_DEPTH);
-        let mut index = 0;
-        while index < candidates.len() {
-            let mut chunk: Vec<&AllocationCandidate> = Vec::with_capacity(chunk_target);
-            while index < candidates.len() && chunk.len() < chunk_target {
-                let candidate = &candidates[index];
-                index += 1;
-                if options.flexibility_pruning && bound_of(candidate) <= f_cur {
-                    continue;
-                }
-                chunk.push(candidate);
-            }
-            if chunk.is_empty() {
-                continue;
-            }
-            let results = run_chunk(&chunk, threads, |candidate| {
-                implement_allocation_compiled(&compiled, &candidate.allocation, &options.implement)
+            front.push(WeightedPoint {
+                cost: implementation.cost,
+                weighted_flexibility: value,
+                implementation,
             });
-            for (candidate, outcome) in chunk.iter().zip(results) {
-                if options.flexibility_pruning && bound_of(candidate) <= f_cur {
-                    continue;
-                }
-                implement_attempts += 1;
-                let (implemented, _) = outcome?;
-                consume(implemented, &mut f_cur, &mut front);
-            }
-        }
-    }
+            value
+        },
+    )?;
     // Candidates arrive cost-ordered with strict improvement required, so
     // the pushed points are already mutually non-dominated — except for
     // equal-cost pairs, which the strict improvement resolves by keeping
@@ -148,7 +121,9 @@ pub fn explore_weighted(
     front.retain(|p| !snapshot.iter().any(|q| q.dominates(p)));
     Ok(WeightedExploreResult {
         front,
-        implement_attempts,
+        implement_attempts: stats.implement_attempts,
+        chunks_speculated: stats.chunks_speculated,
+        speculative_waste: stats.speculative_waste,
     })
 }
 

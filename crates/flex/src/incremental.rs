@@ -2,7 +2,7 @@
 //!
 //! The branch-and-bound enumeration walks the allocation lattice one unit
 //! at a time: each DFS step adds or removes a single unit from the current
-//! subset. Recomputing [`estimate_with_unit_masks`] from scratch at every
+//! subset. Recomputing [`estimate_with_compiled`] from scratch at every
 //! node costs a full traversal of the problem hierarchy; this module
 //! maintains the estimate's *feasibility skeleton* under single-unit
 //! deltas instead, so each step is `O(|vertices covered by the unit|)` and
@@ -28,8 +28,8 @@
 //!
 //! # Contract with the non-incremental estimate
 //!
-//! [`DeltaEstimator::feasible`] equals
-//! `estimate_with_unit_masks(..).feasible` for the tracked mask, and
+//! [`DeltaEstimator::feasible`] equals the `feasible` flag of
+//! [`estimate_with_compiled`] on the tracked mask's available vertices, and
 //! [`DeltaEstimator::materialize`] reproduces the full
 //! [`FlexibilityEstimate`] *byte for byte*: it re-runs the same
 //! short-circuiting traversal over the index's flattened topology arrays,
@@ -38,6 +38,8 @@
 //! no hierarchy iterators and no per-node allocations. Units outside
 //! [`UnitMasks::estimate_relevant_mask`] cover no vertex, so pushing them
 //! is a state no-op — memoizing on `mask ∩ estimate_relevant` stays sound.
+//!
+//! [`estimate_with_compiled`]: crate::estimate_with_compiled
 
 use crate::estimate::FlexibilityEstimate;
 use crate::metric::Flexibility;
@@ -299,8 +301,8 @@ impl<'a> DeltaEstimator<'a> {
     }
 
     /// `true` iff the tracked allocation supports a complete activation —
-    /// equals `estimate_with_unit_masks(..).feasible` for the tracked
-    /// mask, in `O(1)`.
+    /// equals `estimate_with_compiled(..).feasible` for the tracked mask,
+    /// in `O(1)`.
     #[must_use]
     pub fn feasible(&self) -> bool {
         self.top_blockers == 0
@@ -313,12 +315,12 @@ impl<'a> DeltaEstimator<'a> {
     }
 
     /// Recomputes the full estimate for the tracked mask. Byte-identical
-    /// to [`estimate_with_unit_masks`] at the same mask: the traversal is
+    /// to [`estimate_with_compiled`] at the same mask: the traversal is
     /// the same short-circuiting recursion, but over the index's flattened
     /// topology with every per-vertex scan replaced by a tracked counter —
     /// `O(explored clusters)` instead of a full hierarchy walk.
     ///
-    /// [`estimate_with_unit_masks`]: crate::estimate_with_unit_masks
+    /// [`estimate_with_compiled`]: crate::estimate_with_compiled
     #[must_use]
     pub fn materialize(&self) -> FlexibilityEstimate {
         let mut activatable = BTreeSet::new();
@@ -450,11 +452,23 @@ impl<'a> DeltaEstimator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::estimate_with_unit_masks;
+    use crate::estimate::{estimate_with_compiled, FlexibilityEstimate};
     use flexplore_sched::Time;
     use flexplore_spec::{
-        ArchitectureGraph, Cost, ProblemGraph, SpecificationGraph, Unit, UnitMask,
+        allocation_from_units, ArchitectureGraph, Cost, ProblemGraph, SpecificationGraph, Unit,
+        UnitMask,
     };
+
+    /// The non-incremental oracle: the compiled estimator over the unit
+    /// subset's expanded available vertices.
+    fn full_estimate(
+        compiled: &CompiledSpec<'_>,
+        units: &[Unit],
+        mask: UnitMask,
+    ) -> FlexibilityEstimate {
+        let allocation = allocation_from_units(units, mask);
+        estimate_with_compiled(compiled, &compiled.available_vertices(&allocation))
+    }
 
     /// Nested fixture: top process P, interface I {c1: v1, c2: v2,
     /// c3: {J {j1: w1, j2: w2}}}; cpu maps P/v1/w1, asic maps v2/w2, and a
@@ -507,7 +521,7 @@ mod tests {
             let mask = UnitMask::from_words([bits, 0, 0, 0]);
             let mut tracker = DeltaEstimator::new(&index);
             tracker.push_mask(mask);
-            let full = estimate_with_unit_masks(&compiled, &masks, mask);
+            let full = full_estimate(&compiled, &units, mask);
             assert_eq!(tracker.feasible(), full.feasible, "mask {mask}");
             assert_eq!(tracker.materialize(), full, "mask {mask}");
         }
@@ -534,7 +548,7 @@ mod tests {
                 tracker.push_unit(k);
                 mask.set(k);
             }
-            let full = estimate_with_unit_masks(&compiled, &masks, mask);
+            let full = full_estimate(&compiled, &units, mask);
             assert_eq!(tracker.feasible(), full.feasible, "mask {mask}");
             assert_eq!(tracker.materialize(), full, "mask {mask}");
         }

@@ -48,10 +48,7 @@ mod incremental;
 mod metric;
 mod profile;
 
-pub use estimate::{
-    estimate_flexibility, estimate_with_available, estimate_with_compiled,
-    estimate_with_unit_masks, FlexibilityEstimate,
-};
+pub use estimate::{estimate_flexibility, estimate_with_compiled, FlexibilityEstimate};
 pub use incremental::{DeltaEstimator, DeltaIndex};
 pub use metric::{
     cluster_flexibility, flexibility, flexibility_def4_raw, max_flexibility, weighted_flexibility,

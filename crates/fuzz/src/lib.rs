@@ -39,6 +39,7 @@
 
 mod capture;
 pub mod corpus;
+mod flat;
 mod harness;
 mod json;
 mod minimize;
@@ -46,6 +47,7 @@ mod oracles;
 mod profile;
 
 pub use corpus::{replay_dir, ReplayReport, ReproCase};
+pub use flat::{flat_explore, flat_scan};
 pub use harness::{derive_seed, run_fuzz, FuzzOptions, FuzzReport, ViolationRecord};
 pub use minimize::minimize;
 pub use oracles::{check_all, check_oracle, OracleKind, Violation};

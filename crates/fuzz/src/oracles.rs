@@ -8,12 +8,12 @@
 //! | oracle | invariant |
 //! |---|---|
 //! | `lint-explore` | lint-error-free ⇒ `explore` returns `Ok`, and never panics |
-//! | `enumerator-equivalence` | flat and branch-and-bound enumerators produce byte-identical fronts (wide specs: branch-and-bound at 1 vs 4 threads, where the `2^n` flat scan is intractable) |
+//! | `enumerator-equivalence` | the sequential EXPLORE loop over the flat scan ([`flat_explore`]) and `explore` over the branch-and-bound lattice search produce byte-identical fronts (wide specs: `explore` at 1 vs 4 threads, where the `2^n` flat scan is intractable) |
 //! | `moea-subset` | every MOEA archive point is weakly dominated by the exact front |
 //! | `thread-invariance` | fronts and deterministic obs counters are identical for 1 and 4 threads |
 //! | `resilience-subset` | fault-degraded points are weakly dominated by the healthy front, and `resilience ≤ flexibility` |
 //! | `round-trip` | serialize → deserialize → compile → explore reproduces the front byte-identically |
-//! | `analysis-facts` | every static lattice fact (mandatory / dominated / symmetry, DESIGN.md §15) holds on the prune-free flat enumeration of small specs |
+//! | `analysis-facts` | every static lattice fact (mandatory / dominated / symmetry, DESIGN.md §15) holds on the prune-free flat scan ([`flat_scan`]) of small specs |
 //! | `warm-start-equivalence` | re-exploring from a warm-start cache entry — unchanged, after a latency edit, after a cost edit — reproduces the cold front and counters byte-identically |
 //!
 //! Each oracle body runs under [`capture`](crate::capture::capture), so a
@@ -21,11 +21,12 @@
 //! the panic message as its detail — never as a crashed fuzzer.
 
 use crate::capture::capture;
+use crate::flat::{flat_explore, flat_scan};
 use flexplore_bind::ImplementOptions;
 use flexplore_explore::{
-    explore, explore_compiled_warm, explore_resilient, explore_with_obs, moea_explore,
-    possible_resource_allocations, AllocationCandidate, AllocationOptions, Enumerator,
-    ExploreError, ExploreOptions, ExploreResult, MoeaOptions, Unit, WarmMode,
+    explore, explore_compiled_obs, explore_compiled_warm, explore_resilient, moea_explore,
+    AllocationOptions, ExploreError, ExploreOptions, ExploreResult, MoeaOptions, ParetoFront,
+    WarmMode,
 };
 use flexplore_flex::Flexibility;
 use flexplore_lint::{compute_facts, lint_spec};
@@ -40,7 +41,7 @@ use std::str::FromStr;
 pub enum OracleKind {
     /// Lint-error-free ⇒ explore succeeds; panics are always violations.
     LintExplore,
-    /// Flat vs branch-and-bound enumerator fronts, byte-compared.
+    /// Flat-scan reference front vs `explore`'s front, byte-compared.
     EnumeratorEquivalence,
     /// MOEA archive ⊆ (weak dominance) exact front.
     MoeaSubset,
@@ -50,7 +51,7 @@ pub enum OracleKind {
     ResilienceSubset,
     /// JSON round-trip reproduces the front.
     RoundTrip,
-    /// Static lattice facts vs the prune-free flat enumeration.
+    /// Static lattice facts vs the prune-free flat scan.
     AnalysisFacts,
     /// Warm-started re-exploration reproduces the cold run byte-identically.
     WarmStartEquivalence,
@@ -160,11 +161,16 @@ pub fn check_oracle(
 
 /// Renders an explore outcome to comparable deterministic bytes: the
 /// serialized front on success, the typed error's display on failure.
-fn render_outcome(result: Result<ExploreResult, ExploreError>) -> String {
+fn render_outcome(result: Result<ParetoFront, ExploreError>) -> String {
     match result {
-        Ok(result) => serde_json::to_string(&result.front).expect("front serializes"),
+        Ok(front) => serde_json::to_string(&front).expect("front serializes"),
         Err(e) => format!("error: {e}"),
     }
+}
+
+/// [`render_outcome`] of `explore(spec, options)`.
+fn explored_front(spec: &SpecificationGraph, options: &ExploreOptions) -> String {
+    render_outcome(explore(spec, options).map(|result| result.front))
 }
 
 fn lint_explore(spec: &SpecificationGraph, threads: usize) -> Option<String> {
@@ -188,20 +194,12 @@ const FLAT_ORACLE_MAX_UNITS: usize = 20;
 
 fn enumerator_equivalence(spec: &SpecificationGraph) -> Option<String> {
     if flexplore_explore::allocatable_units(spec).len() > FLAT_ORACLE_MAX_UNITS {
-        let mut one = ExploreOptions::paper().with_threads(1);
-        one.allocation.enumerator = Enumerator::BranchAndBound;
-        let mut four = ExploreOptions::paper().with_threads(4);
-        four.allocation.enumerator = Enumerator::BranchAndBound;
-        let a = render_outcome(explore(spec, &one));
-        let b = render_outcome(explore(spec, &four));
+        let a = explored_front(spec, &ExploreOptions::paper().with_threads(1));
+        let b = explored_front(spec, &ExploreOptions::paper().with_threads(4));
         return (a != b).then(|| format!("branch-and-bound threads 1 {a} != threads 4 {b}"));
     }
-    let mut flat = ExploreOptions::paper();
-    flat.allocation.enumerator = Enumerator::Flat;
-    let mut bnb = ExploreOptions::paper();
-    bnb.allocation.enumerator = Enumerator::BranchAndBound;
-    let a = render_outcome(explore(spec, &flat));
-    let b = render_outcome(explore(spec, &bnb));
+    let a = render_outcome(flat_explore(spec, &ExploreOptions::paper()));
+    let b = explored_front(spec, &ExploreOptions::paper());
     (a != b).then(|| format!("flat {a} != branch-and-bound {b}"))
 }
 
@@ -240,32 +238,31 @@ fn thread_invariance(spec: &SpecificationGraph) -> Option<String> {
     // Sequential reference, then every worker count the work-stealing
     // scheduler must reproduce byte for byte — including an
     // oversubscribed one (8) so steal-heavy schedules are exercised.
-    let obs_one = ObsSink::enabled();
-    let a = render_outcome(explore_with_obs(
-        spec,
-        &ExploreOptions::paper().with_threads(1),
-        &obs_one,
-    ));
-    let ca = obs_one
-        .report("fuzz", spec.name(), 1)
-        .counters_json()
-        .expect("counters serialize");
+    let compiled = CompiledSpec::with_activation_cache(spec);
+    let observed = |threads: usize| {
+        let obs = ObsSink::enabled();
+        let front = render_outcome(
+            explore_compiled_obs(
+                &compiled,
+                &ExploreOptions::paper().with_threads(threads),
+                &obs,
+            )
+            .map(|result| result.front),
+        );
+        let counters = obs
+            .report("fuzz", spec.name(), threads)
+            .counters_json()
+            .expect("counters serialize");
+        (front, counters)
+    };
+    let (a, ca) = observed(1);
     for threads in [4usize, 8] {
-        let obs_n = ObsSink::enabled();
-        let b = render_outcome(explore_with_obs(
-            spec,
-            &ExploreOptions::paper().with_threads(threads),
-            &obs_n,
-        ));
+        let (b, cb) = observed(threads);
         if a != b {
             return Some(format!(
                 "threads 1 front {a} != threads {threads} front {b}"
             ));
         }
-        let cb = obs_n
-            .report("fuzz", spec.name(), threads)
-            .counters_json()
-            .expect("counters serialize");
         if ca != cb {
             return Some(format!(
                 "threads 1 counters {ca} != threads {threads} counters {cb}"
@@ -279,7 +276,10 @@ fn resilience_subset(spec: &SpecificationGraph) -> Option<String> {
     let Ok(healthy) = explore(spec, &ExploreOptions::paper()) else {
         return None;
     };
-    let Ok(resilient) = explore_resilient(spec, 1, &ExploreOptions::paper()) else {
+    let compiled = CompiledSpec::with_activation_cache(spec);
+    let Ok(resilient) =
+        explore_resilient(&compiled, 1, &ExploreOptions::paper(), &ObsSink::disabled())
+    else {
         return None;
     };
     for p in &resilient {
@@ -314,8 +314,8 @@ fn round_trip(spec: &SpecificationGraph) -> Option<String> {
     if let Err(e) = CompiledSpec::try_new(&reparsed) {
         return Some(format!("reloaded spec failed compilation: {e}"));
     }
-    let a = render_outcome(explore(spec, &ExploreOptions::paper()));
-    let b = render_outcome(explore(&reparsed, &ExploreOptions::paper()));
+    let a = explored_front(spec, &ExploreOptions::paper());
+    let b = explored_front(&reparsed, &ExploreOptions::paper());
     (a != b).then(|| format!("front changed across JSON round-trip: {a} != {b}"))
 }
 
@@ -324,8 +324,7 @@ fn round_trip(spec: &SpecificationGraph) -> Option<String> {
 const ANALYSIS_ORACLE_MAX_UNITS: usize = 16;
 
 /// Cross-checks the static lattice facts (`F014`/`F015`/`F016`) against
-/// ground truth: a flat enumeration with *every* structural pruning
-/// disabled, which keeps exactly the estimate-feasible subsets — the
+/// ground truth: a flat scan with *every* structural pruning disabled, which keeps exactly the estimate-feasible subsets — the
 /// lattice the facts are stated against. (The bus/unusable prunings are
 /// sound for front construction but punch holes in the feasible set: a
 /// dominance swap target may leave a bus with a single neighbor.)
@@ -346,26 +345,15 @@ fn analysis_facts(spec: &SpecificationGraph) -> Option<String> {
     let options = AllocationOptions {
         prune_useless_buses: false,
         prune_unusable: false,
-        enumerator: Enumerator::Flat,
         ..AllocationOptions::default()
     };
-    let Ok((candidates, _)) = possible_resource_allocations(spec, &options) else {
+    let Ok((candidates, _)) = flat_scan(&compiled, &options) else {
         return None;
     };
-
-    // Re-derive each candidate's subset mask as a u64 over unit indices.
-    let mask_of = |c: &AllocationCandidate| -> u64 {
-        units.iter().enumerate().fold(0u64, |m, (k, unit)| {
-            let present = match unit {
-                Unit::Vertex(v) => c.allocation.vertices.contains(v),
-                Unit::Cluster(cl) => c.allocation.clusters.contains(cl),
-            };
-            m | (u64::from(present) << k)
-        })
-    };
+    // Subset masks as u64 over unit indices (at most 16 units here).
     let kept: BTreeMap<u64, (Cost, Flexibility)> = candidates
         .iter()
-        .map(|c| (mask_of(c), (c.cost, c.estimate.value)))
+        .map(|(mask, c)| (mask.low_word(), (c.cost, c.estimate.value)))
         .collect();
 
     // Sanity: the fact families are provably disjoint — a mandatory unit

@@ -4,8 +4,8 @@
 //! Where the lint passes (`F001`–`F013`) find *defects*, this module
 //! proves *facts about the allocation lattice* without enumerating a
 //! single subset: units every possible allocation must include
-//! ([`mandatory`]), units that can never improve the candidate front
-//! ([`dominated`]), and classes of interchangeable units ([`symmetry`]).
+//! (`mandatory`), units that can never improve the candidate front
+//! (`dominated`), and classes of interchangeable units (`symmetry`).
 //! Each fact is exposed three ways:
 //!
 //! * as note-level diagnostics `F014`/`F015`/`F016` in the report of

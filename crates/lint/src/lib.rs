@@ -67,4 +67,4 @@ pub use analysis::{
     analyze_spec, analyze_spec_obs, compute_facts, compute_facts_obs, AnalysisFacts, AnalysisReport,
 };
 pub use diagnostics::{is_known_code, Diagnostic, LintReport, Location, Severity, KNOWN_CODES};
-pub use passes::{lint_spec, lint_spec_obs, lint_spec_obs_with_capacity};
+pub use passes::{lint_spec, lint_spec_obs};

@@ -27,20 +27,6 @@ pub fn lint_spec(spec: &SpecificationGraph) -> LintReport {
 /// clocks are read.
 #[must_use]
 pub fn lint_spec_obs(spec: &SpecificationGraph, obs: &ObsSink) -> LintReport {
-    lint_spec_obs_with_capacity(spec, obs, MAX_UNITS)
-}
-
-/// [`lint_spec_obs`] with an explicit unit-capacity threshold for the
-/// `F013` check. The exploration entry points pass the capacity of the
-/// enumerator that was actually selected (the flat scan indexes at most 63
-/// units, branch-and-bound the full [`MAX_UNITS`]), so the pre-flight gate
-/// never warns against a limit that does not apply.
-#[must_use]
-pub fn lint_spec_obs_with_capacity(
-    spec: &SpecificationGraph,
-    obs: &ObsSink,
-    capacity: usize,
-) -> LintReport {
     let mut report = LintReport::new(spec.name());
 
     let timer = obs.start();
@@ -54,7 +40,7 @@ pub fn lint_spec_obs_with_capacity(
 
     let timer = obs.start();
     hierarchy_pass(spec, &mut report);
-    capacity_pass(spec, &mut report, capacity);
+    capacity_pass(spec, &mut report);
     obs.finish(phase::LINT_HIERARCHY, timer);
     let timer = obs.start();
     mapping_pass(spec, &mut report);
@@ -161,20 +147,20 @@ fn hierarchy_pass(spec: &SpecificationGraph, report: &mut LintReport) {
 }
 
 /// F013: more allocatable units (top-level architecture vertices plus
-/// design clusters) than the selected enumerator's subset masks can index.
-/// The specification itself is sound, but `explore()` will reject it with
-/// `UnitOverflow`, so flag it before any run starts.
-fn capacity_pass(spec: &SpecificationGraph, report: &mut LintReport, capacity: usize) {
+/// design clusters) than the lattice search's subset masks can index
+/// ([`MAX_UNITS`]). The specification itself is sound, but `explore()`
+/// will reject it with `UnitOverflow`, so flag it before any run starts.
+fn capacity_pass(spec: &SpecificationGraph, report: &mut LintReport) {
     let a = spec.architecture().graph();
     let units = a.vertices_in(Scope::Top).count() + a.cluster_ids().count();
-    if units > capacity {
+    if units > MAX_UNITS {
         report.push(Diagnostic {
             code: "F013",
             severity: Severity::Warning,
             location: Location::Architecture,
             element: spec.name().to_string(),
             message: format!(
-                "{units} allocatable units exceed the {capacity}-unit subset-mask capacity; \
+                "{units} allocatable units exceed the {MAX_UNITS}-unit subset-mask capacity; \
                  design-space exploration will reject this specification"
             ),
         });

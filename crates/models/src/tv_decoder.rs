@@ -288,10 +288,16 @@ mod tests {
 
     #[test]
     fn fig2_possible_allocations_start_with_bare_processor() {
+        use flexplore_bind::ObsSink;
         use flexplore_explore::{possible_resource_allocations, AllocationOptions};
+        use flexplore_spec::CompiledSpec;
         let tv = tv_decoder();
-        let (cands, _) =
-            possible_resource_allocations(&tv.spec, &AllocationOptions::default()).unwrap();
+        let (cands, _) = possible_resource_allocations(
+            &CompiledSpec::new(&tv.spec),
+            &AllocationOptions::default(),
+            &ObsSink::disabled(),
+        )
+        .unwrap();
         // The cheapest possible allocation is {µP} (paper's set A starts
         // with µP).
         let first = &cands[0];

@@ -29,8 +29,8 @@
 use flexplore::adaptive::{DegradeOutcome, FaultTimelineEvent};
 use flexplore::{
     explore_resilient, implement_default, run_with_faults, set_top_box, AdaptiveSystem,
-    DegradationPolicy, ExploreOptions, FaultKind, FaultPlan, FaultScenario, ReconfigCost,
-    ResourceAllocation, Selection, Time,
+    CompiledSpec, DegradationPolicy, ExploreOptions, FaultKind, FaultPlan, FaultScenario, ObsSink,
+    ReconfigCost, ResourceAllocation, Selection, Time,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -114,7 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 4. What does one guaranteed failure cost? ----------------------
     println!("\ncost / flexibility / 1-resilient flexibility front:");
-    for point in explore_resilient(spec, 1, &ExploreOptions::paper())? {
+    let compiled = CompiledSpec::with_activation_cache(spec);
+    for point in explore_resilient(&compiled, 1, &ExploreOptions::paper(), &ObsSink::disabled())? {
         println!(
             "  {:>8}  f={:<3} guaranteed f={:<3} [{}]",
             point.cost.to_string(),

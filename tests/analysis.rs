@@ -5,11 +5,11 @@
 //! enumeration, the new pruning counters, and the doc-sync contract
 //! tying every emitted diagnostic code to a DESIGN.md catalog row.
 
-use flexplore::explore_crate::possible_resource_allocations_obs;
-use flexplore::lint::{compute_facts, lint_spec_obs_with_capacity};
+use flexplore::explore_crate::possible_resource_allocations;
+use flexplore::lint::compute_facts;
 use flexplore::{
-    analyze_spec, explore_with_obs, set_top_box, synthetic_spec, AllocationOptions, CompiledSpec,
-    Enumerator, ExploreOptions, ObsSink, SpecificationGraph, SyntheticConfig,
+    analyze_spec, explore_compiled_obs, lint_spec, set_top_box, synthetic_spec, AllocationOptions,
+    CompiledSpec, ExploreOptions, ObsSink, SpecificationGraph, SyntheticConfig,
 };
 use flexplore_fuzz::{generate, DomainProfile};
 use std::path::Path;
@@ -33,7 +33,6 @@ fn dedicated_spec(dedicated: usize) -> SpecificationGraph {
 
 fn bnb_options(analysis: bool, threads: usize) -> AllocationOptions {
     AllocationOptions {
-        enumerator: Enumerator::BranchAndBound,
         analysis,
         threads,
         max_units: 256,
@@ -53,13 +52,10 @@ fn assert_on_off_equal(
     flexplore::explore_crate::AllocationStats,
 ) {
     let compiled = CompiledSpec::new(spec);
-    let (on_cands, on_stats) = possible_resource_allocations_obs(
-        &compiled,
-        &bnb_options(true, threads),
-        &ObsSink::disabled(),
-    )
-    .unwrap();
-    let (off_cands, off_stats) = possible_resource_allocations_obs(
+    let (on_cands, on_stats) =
+        possible_resource_allocations(&compiled, &bnb_options(true, threads), &ObsSink::disabled())
+            .unwrap();
+    let (off_cands, off_stats) = possible_resource_allocations(
         &compiled,
         &bnb_options(false, threads),
         &ObsSink::disabled(),
@@ -124,23 +120,21 @@ fn full_capacity_256_units_analyze_cleanly() {
     let units = flexplore::explore_crate::allocatable_units(&spec).len();
     assert_eq!(units, 256);
 
-    // F013 thresholds, per enumerator capacity: branch-and-bound (256)
-    // accommodates the spec exactly; the flat scan (63) does not.
-    let obs = ObsSink::disabled();
-    for (capacity, fires) in [(255usize, true), (256, false), (63, true)] {
-        let report = lint_spec_obs_with_capacity(&spec, &obs, capacity);
-        assert_eq!(
-            report.has_code("F013"),
-            fires,
-            "capacity {capacity} on {units} units"
-        );
-    }
+    // F013 thresholds at the subset-mask capacity: 256 units fit exactly,
+    // one more does not.
     assert_eq!(
-        Enumerator::BranchAndBound.unit_capacity(),
+        flexplore::spec::MAX_UNITS,
         256,
         "the F013 gate and the mask width must agree"
     );
-    assert_eq!(Enumerator::Flat.unit_capacity(), 63);
+    assert!(
+        !lint_spec(&spec).has_code("F013"),
+        "256 units fit the masks"
+    );
+    assert!(
+        lint_spec(&dedicated_spec(255)).has_code("F013"),
+        "257 units overflow the masks"
+    );
 
     let analysis = analyze_spec(&spec);
     assert!(analysis.analyzed);
@@ -250,7 +244,9 @@ fn explore_publishes_analysis_counters() {
             ..ExploreOptions::paper()
         };
         let sink = ObsSink::enabled();
-        let result = explore_with_obs(&spec, &options, &sink).unwrap();
+        let result =
+            explore_compiled_obs(&CompiledSpec::with_activation_cache(&spec), &options, &sink)
+                .unwrap();
         fronts.push(serde_json::to_string(&result.front).unwrap());
         let report = sink.report("analysis-test", "synthetic-wide", 1);
         let forced = report.counter("analysis_mandatory_forced");

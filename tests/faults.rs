@@ -7,8 +7,8 @@ use flexplore::adaptive::{DegradeOutcome, FaultTimelineEvent};
 use flexplore::bind::ImplementOptions;
 use flexplore::{
     implement_default, k_resilient_flexibility, remaining_flexibility, run_with_faults,
-    set_top_box, AdaptiveSystem, DegradationPolicy, FaultKind, FaultPlan, FaultScenario,
-    Implementation, ReconfigCost, Selection, SetTopBox, Time,
+    set_top_box, AdaptiveSystem, CompiledSpec, DegradationPolicy, FaultKind, FaultPlan,
+    FaultScenario, Implementation, ObsSink, ReconfigCost, Selection, SetTopBox, Time,
 };
 use std::collections::BTreeSet;
 
@@ -78,9 +78,16 @@ fn permanent_failure_triggers_a_recorded_degraded_switch() {
 #[test]
 fn one_resilient_flexibility_is_strictly_below_fault_free() {
     let (stb, implementation) = platform();
-    let report =
-        k_resilient_flexibility(&stb.spec, &implementation, 1, &ImplementOptions::default())
-            .unwrap();
+    let compiled = CompiledSpec::new(&stb.spec);
+    let report = k_resilient_flexibility(
+        &compiled,
+        &implementation,
+        1,
+        &ImplementOptions::default(),
+        1,
+        &ObsSink::disabled(),
+    )
+    .unwrap();
     assert_eq!(report.baseline, implementation.flexibility);
     assert!(
         report.resilient_flexibility < report.baseline,
@@ -92,10 +99,11 @@ fn one_resilient_flexibility_is_strictly_below_fault_free() {
     // And the worst case is consistent with a direct masking query.
     let dead: BTreeSet<_> = [stb.resource("uP2")].into_iter().collect();
     let without_processor = remaining_flexibility(
-        &stb.spec,
+        &compiled,
         &implementation,
         &dead,
         &ImplementOptions::default(),
+        &ObsSink::disabled(),
     )
     .unwrap();
     assert!(report.resilient_flexibility <= without_processor);

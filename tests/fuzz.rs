@@ -1,15 +1,18 @@
 //! Tier-1 fuzzing regression tests: a bounded smoke campaign per domain
 //! profile, byte-reproducibility of reports, the JSON round-trip contract
 //! for every bundled and generated model, and the replay of the committed
-//! repro corpus (`tests/corpus/`) under every oracle and both enumerators.
+//! repro corpus (`tests/corpus/`) under every oracle and against the
+//! flat-scan reference.
 
 use flexplore::models::{spec_from_json, spec_to_json};
 use flexplore::{
     automotive_spec, baseband_spec, cloud_fpga_spec, dual_slot_fpga, explore, set_top_box,
     synthetic_spec, tv_decoder, AutomotiveConfig, BasebandConfig, CloudFpgaConfig, CompiledSpec,
-    Enumerator, ExploreOptions, SpecificationGraph, SyntheticConfig,
+    ExploreOptions, SpecificationGraph, SyntheticConfig,
 };
-use flexplore_fuzz::{generate, replay_dir, run_fuzz, DomainProfile, FuzzOptions, ReproCase};
+use flexplore_fuzz::{
+    flat_explore, generate, replay_dir, run_fuzz, DomainProfile, FuzzOptions, ReproCase,
+};
 use std::path::{Path, PathBuf};
 
 fn corpus_dir() -> PathBuf {
@@ -125,14 +128,12 @@ fn corpus_specs_explore_identically_under_both_enumerators() {
         let text = std::fs::read_to_string(&path).unwrap();
         let case = ReproCase::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let spec = spec_from_json(&case.spec_json).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut flat = ExploreOptions::paper();
-        flat.allocation.enumerator = Enumerator::Flat;
-        let mut bnb = ExploreOptions::paper();
-        bnb.allocation.enumerator = Enumerator::BranchAndBound;
-        let a = explore(&spec, &flat).unwrap_or_else(|e| panic!("{name}: flat: {e}"));
-        let b = explore(&spec, &bnb).unwrap_or_else(|e| panic!("{name}: bnb: {e}"));
+        // The flat scan with the sequential bind loop is the reference.
+        let options = ExploreOptions::paper();
+        let a = flat_explore(&spec, &options).unwrap_or_else(|e| panic!("{name}: flat: {e}"));
+        let b = explore(&spec, &options).unwrap_or_else(|e| panic!("{name}: bnb: {e}"));
         assert_eq!(
-            a.front.objectives(),
+            a.objectives(),
             b.front.objectives(),
             "{name}: enumerators disagree"
         );

@@ -1,4 +1,5 @@
-//! Branch-and-bound lattice enumeration vs. the flat-scan oracle.
+//! Branch-and-bound lattice enumeration vs. the flat-scan oracle of
+//! `flexplore-fuzz`.
 //!
 //! The bound-driven search must keep **exactly** the candidate list of the
 //! exhaustive flat scan — same allocations, same costs, same estimates,
@@ -6,12 +7,13 @@
 //! be byte-identical to itself at any `--threads` setting (front, counters
 //! and observability report alike).
 
-use flexplore::explore_crate::possible_resource_allocations_obs;
+use flexplore::explore_crate::possible_resource_allocations;
 use flexplore::models::dual_slot_fpga;
 use flexplore::{
-    explore_with_obs, set_top_box, synthetic_spec, AllocationOptions, CompiledSpec, Enumerator,
+    explore_compiled_obs, set_top_box, synthetic_spec, AllocationOptions, CompiledSpec,
     ExploreOptions, ObsSink, SpecificationGraph, SyntheticConfig,
 };
+use flexplore_fuzz::{flat_explore, flat_scan};
 
 /// Bundled models small enough for the 2^units flat scan to finish fast.
 fn oracle_models() -> Vec<(&'static str, SpecificationGraph)> {
@@ -30,35 +32,23 @@ fn oracle_models() -> Vec<(&'static str, SpecificationGraph)> {
     ]
 }
 
-fn allocation_options(enumerator: Enumerator, threads: usize) -> AllocationOptions {
-    AllocationOptions {
-        enumerator,
-        threads,
-        ..AllocationOptions::default()
-    }
-}
-
 /// The flat scan and the lattice search keep the same candidate list —
-/// byte-for-byte, via the serialized form — and agree on the enumerator-
-/// independent counters, at every thread count.
+/// byte-for-byte, via the serialized form — and agree on the
+/// search-independent counters, at every thread count.
 #[test]
 fn bnb_keeps_exactly_the_flat_scan_candidates() {
     for (name, spec) in oracle_models() {
         let compiled = CompiledSpec::new(&spec);
-        let (flat_candidates, flat_stats) = possible_resource_allocations_obs(
-            &compiled,
-            &allocation_options(Enumerator::Flat, 1),
-            &ObsSink::disabled(),
-        )
-        .unwrap();
+        let (flat_kept, flat_stats) = flat_scan(&compiled, &AllocationOptions::default()).unwrap();
+        let flat_candidates: Vec<_> = flat_kept.into_iter().map(|(_, c)| c).collect();
         let flat_json = serde_json::to_string(&flat_candidates).unwrap();
         for threads in [1, 2, 4] {
-            let (bnb_candidates, bnb_stats) = possible_resource_allocations_obs(
-                &compiled,
-                &allocation_options(Enumerator::BranchAndBound, threads),
-                &ObsSink::disabled(),
-            )
-            .unwrap();
+            let options = AllocationOptions {
+                threads,
+                ..AllocationOptions::default()
+            };
+            let (bnb_candidates, bnb_stats) =
+                possible_resource_allocations(&compiled, &options, &ObsSink::disabled()).unwrap();
             let bnb_json = serde_json::to_string(&bnb_candidates).unwrap();
             assert_eq!(
                 flat_json, bnb_json,
@@ -136,25 +126,19 @@ fn word_boundary_unit_counts_explore_cleanly() {
 #[test]
 fn set_top_box_visits_under_half_of_the_lattice() {
     let stb = set_top_box();
-    let flat_options = ExploreOptions {
-        allocation: AllocationOptions {
-            enumerator: Enumerator::Flat,
-            ..AllocationOptions::default()
-        },
-        ..ExploreOptions::paper()
-    };
-    let bnb_options = ExploreOptions::paper();
-    let flat = flexplore::explore(&stb.spec, &flat_options).unwrap();
-    let bnb = flexplore::explore(&stb.spec, &bnb_options).unwrap();
+    let flat = flat_explore(&stb.spec, &ExploreOptions::paper()).unwrap();
+    let (_, flat_stats) =
+        flat_scan(&CompiledSpec::new(&stb.spec), &AllocationOptions::default()).unwrap();
+    let bnb = flexplore::explore(&stb.spec, &ExploreOptions::paper()).unwrap();
     assert_eq!(
-        serde_json::to_string(&flat.front).unwrap(),
+        serde_json::to_string(&flat).unwrap(),
         serde_json::to_string(&bnb.front).unwrap(),
-        "the two enumerators must produce a byte-identical front"
+        "the flat-scan reference and explore must produce a byte-identical front"
     );
     assert!(
-        bnb.stats.allocations.nodes_visited < flat.stats.allocations.subsets / 2,
+        bnb.stats.allocations.nodes_visited < flat_stats.subsets / 2,
         "expected < {} nodes, visited {}",
-        flat.stats.allocations.subsets / 2,
+        flat_stats.subsets / 2,
         bnb.stats.allocations.nodes_visited
     );
     assert!(bnb.stats.allocations.subtrees_pruned > 0);
@@ -184,7 +168,9 @@ fn bnb_front_counters_and_obs_are_thread_invariant() {
             }
             .with_threads(threads);
             let sink = ObsSink::enabled();
-            let result = explore_with_obs(&spec, &options, &sink).unwrap();
+            let result =
+                explore_compiled_obs(&CompiledSpec::with_activation_cache(&spec), &options, &sink)
+                    .unwrap();
             let report = sink.report("lattice-test", name, threads);
             let fingerprint = (
                 format!(

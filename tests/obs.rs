@@ -4,10 +4,11 @@
 //! wall-clock, and the reports/event logs must be structurally
 //! deterministic and serde-stable.
 
+use flexplore::obs::phase;
 use flexplore::{
-    explore, explore_resilient, explore_resilient_obs, explore_with_obs,
-    k_resilient_flexibility_obs, lint_spec_obs, set_top_box, synthetic_spec, AllocationOptions,
-    ExploreOptions, ImplementOptions, ObsSink, RunReport, SpecificationGraph, SyntheticConfig,
+    explore, explore_compiled_obs, explore_resilient, k_resilient_flexibility, lint_spec_obs,
+    set_top_box, synthetic_spec, AllocationOptions, CompiledSpec, ExploreOptions, ImplementOptions,
+    ObsSink, RunReport, SpecificationGraph, SyntheticConfig,
 };
 
 /// The base options with `threads` applied to both the candidate scan and
@@ -23,10 +24,14 @@ fn threaded(threads: usize) -> ExploreOptions {
     .with_threads(threads)
 }
 
-/// One instrumented EXPLORE, returning the aggregated report.
+/// One instrumented EXPLORE, compile phase included, as `flexplore
+/// explore --profile` runs it; returns the aggregated report.
 fn profiled_explore(spec: &SpecificationGraph, threads: usize) -> RunReport {
     let obs = ObsSink::enabled();
-    explore_with_obs(spec, &threaded(threads), &obs).expect("explore succeeds");
+    let timer = obs.start();
+    let compiled = CompiledSpec::with_activation_cache(spec);
+    obs.finish(phase::COMPILE, timer);
+    explore_compiled_obs(&compiled, &threaded(threads), &obs).expect("explore succeeds");
     obs.report("explore", spec.name(), threads)
 }
 
@@ -35,7 +40,12 @@ fn observed_explore_reproduces_the_plain_result() {
     let stb = set_top_box();
     let plain = explore(&stb.spec, &ExploreOptions::paper()).unwrap();
     let obs = ObsSink::enabled();
-    let observed = explore_with_obs(&stb.spec, &ExploreOptions::paper(), &obs).unwrap();
+    let observed = explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(&stb.spec),
+        &ExploreOptions::paper(),
+        &obs,
+    )
+    .unwrap();
     assert_eq!(plain.front.objectives(), observed.front.objectives());
     assert_eq!(
         plain.stats.implement_attempts,
@@ -44,7 +54,12 @@ fn observed_explore_reproduces_the_plain_result() {
 
     // The disabled sink is inert: same result, empty report.
     let disabled = ObsSink::disabled();
-    let silent = explore_with_obs(&stb.spec, &ExploreOptions::paper(), &disabled).unwrap();
+    let silent = explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(&stb.spec),
+        &ExploreOptions::paper(),
+        &disabled,
+    )
+    .unwrap();
     assert_eq!(plain.front.objectives(), silent.front.objectives());
     let report = disabled.report("explore", "set_top_box", 1);
     assert!(report.phases.is_empty());
@@ -130,7 +145,12 @@ fn event_logs_are_structurally_deterministic() {
     let logs: Vec<String> = (0..2)
         .map(|_| {
             let obs = ObsSink::enabled();
-            explore_with_obs(&stb.spec, &threaded(1), &obs).unwrap();
+            explore_compiled_obs(
+                &CompiledSpec::with_activation_cache(&stb.spec),
+                &threaded(1),
+                &obs,
+            )
+            .unwrap();
             let report = obs.report("explore", stb.spec.name(), 1);
             obs.events_jsonl(&report)
         })
@@ -147,14 +167,16 @@ fn event_logs_are_structurally_deterministic() {
 #[test]
 fn resilience_counters_are_thread_invariant() {
     let stb = set_top_box();
+    let compiled = CompiledSpec::with_activation_cache(&stb.spec);
     let run = |threads: usize| {
         let obs = ObsSink::enabled();
-        let front = explore_resilient_obs(&stb.spec, 1, &threaded(threads), &obs).unwrap();
+        let front = explore_resilient(&compiled, 1, &threaded(threads), &obs).unwrap();
         (front, obs.report("resilience", stb.spec.name(), threads))
     };
     let (front1, report1) = run(1);
     let (front4, report4) = run(4);
-    let plain = explore_resilient(&stb.spec, 1, &ExploreOptions::paper()).unwrap();
+    let plain =
+        explore_resilient(&compiled, 1, &ExploreOptions::paper(), &ObsSink::disabled()).unwrap();
     assert_eq!(plain.len(), front1.len());
     assert_eq!(front1.len(), front4.len());
     assert_eq!(
@@ -177,9 +199,10 @@ fn kill_sweep_and_lint_report_their_phases() {
         .implementation
         .clone()
         .expect("point carries a platform");
+    let compiled = CompiledSpec::with_activation_cache(&stb.spec);
     let obs = ObsSink::enabled();
-    k_resilient_flexibility_obs(
-        &stb.spec,
+    k_resilient_flexibility(
+        &compiled,
         &implementation,
         1,
         &ImplementOptions::default(),
@@ -189,7 +212,6 @@ fn kill_sweep_and_lint_report_their_phases() {
     .unwrap();
     let report = obs.report("faults", stb.spec.name(), 2);
     let names: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
-    assert!(names.contains(&"compile"), "{names:?}");
     assert!(names.contains(&"resilience"), "{names:?}");
     assert!(report.counter("kill_evaluations").unwrap_or(0) > 0);
 

@@ -3,7 +3,10 @@
 //! flexibility computation.
 
 use flexplore::flex::{flexibility, flexibility_def4_raw, max_flexibility};
-use flexplore::{possible_resource_allocations, set_top_box, tv_decoder, AllocationOptions, Cost};
+use flexplore::{
+    possible_resource_allocations, set_top_box, tv_decoder, AllocationOptions, CompiledSpec, Cost,
+    ObsSink,
+};
 use std::collections::BTreeSet;
 
 /// E1 — Equation (1): the leaves of the Fig. 1 decoder are the two
@@ -29,8 +32,12 @@ fn e1_equation_1_leaf_set() {
 #[test]
 fn e2_fig2_possible_allocations() {
     let tv = tv_decoder();
-    let (cands, stats) =
-        possible_resource_allocations(&tv.spec, &AllocationOptions::default()).unwrap();
+    let (cands, stats) = possible_resource_allocations(
+        &CompiledSpec::new(&tv.spec),
+        &AllocationOptions::default(),
+        &ObsSink::disabled(),
+    )
+    .unwrap();
     assert!(stats.kept > 0);
     assert_eq!(cands[0].cost, Cost::new(100)); // {µP}
     for w in cands.windows(2) {

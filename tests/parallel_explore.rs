@@ -6,8 +6,9 @@
 //! overhead, not search decisions.
 
 use flexplore::{
-    explore, explore_resilient, explore_weighted, set_top_box, synthetic_spec, tv_decoder,
-    AllocationOptions, ExploreOptions, ExploreStats, FlexibilityWeights, SyntheticConfig,
+    dual_slot_fpga, explore, explore_resilient, explore_weighted, set_top_box, synthetic_spec,
+    tv_decoder, AllocationOptions, CompiledSpec, ExploreOptions, ExploreStats, FlexibilityWeights,
+    ObsSink, SpecificationGraph, SyntheticConfig,
 };
 
 /// The base options with `threads` applied to both the candidate scan and
@@ -135,13 +136,61 @@ fn weighted_exploration_is_thread_invariant() {
 }
 
 #[test]
+fn one_thread_never_speculates() {
+    // At one thread the bind/merge loop takes one bound-surviving
+    // candidate at a time: no chunk is speculative and no result is
+    // discarded, for both the integer and the weighted bound.
+    let models: Vec<(&str, SpecificationGraph)> = vec![
+        ("set-top-box", set_top_box().spec),
+        ("tv-decoder", tv_decoder().spec),
+        ("dual-slot-fpga", dual_slot_fpga().spec),
+        (
+            "synthetic-small",
+            synthetic_spec(&SyntheticConfig::small(7)),
+        ),
+        (
+            "synthetic-medium",
+            synthetic_spec(&SyntheticConfig::medium(11)),
+        ),
+        (
+            "synthetic-large",
+            synthetic_spec(&SyntheticConfig::large(11)),
+        ),
+        ("synthetic-wide", synthetic_spec(&SyntheticConfig::wide(13))),
+    ];
+    let one = threaded(&ExploreOptions::paper(), 1);
+    let weights = FlexibilityWeights::new();
+    for (name, spec) in &models {
+        let plain = explore(spec, &one).unwrap();
+        assert_eq!(plain.stats.chunks_speculated, 0, "{name}: explore");
+        assert_eq!(plain.stats.speculative_waste, 0, "{name}: explore");
+        let weighted = explore_weighted(spec, &weights, &one).unwrap();
+        assert_eq!(weighted.chunks_speculated, 0, "{name}: explore_weighted");
+        assert_eq!(weighted.speculative_waste, 0, "{name}: explore_weighted");
+    }
+    // The same loop does speculate once it has more than one worker.
+    let stb = set_top_box().spec;
+    let four = threaded(&ExploreOptions::paper(), 4);
+    assert!(explore(&stb, &four).unwrap().stats.chunks_speculated > 0);
+    assert!(
+        explore_weighted(&stb, &weights, &four)
+            .unwrap()
+            .chunks_speculated
+            > 0
+    );
+}
+
+#[test]
 fn resilient_exploration_is_thread_invariant() {
     let tv = tv_decoder();
-    let sequential = explore_resilient(&tv.spec, 1, &ExploreOptions::paper()).unwrap();
+    let compiled = CompiledSpec::with_activation_cache(&tv.spec);
+    let resilient = |options: &ExploreOptions| {
+        explore_resilient(&compiled, 1, options, &ObsSink::disabled()).unwrap()
+    };
+    let sequential = resilient(&ExploreOptions::paper());
     assert!(!sequential.is_empty());
     for threads in [2, 4, 8] {
-        let parallel =
-            explore_resilient(&tv.spec, 1, &threaded(&ExploreOptions::paper(), threads)).unwrap();
+        let parallel = resilient(&threaded(&ExploreOptions::paper(), threads));
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(parallel.iter()) {
             assert_eq!(

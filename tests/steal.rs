@@ -11,13 +11,13 @@
 //! and generated model, including under the `FLEXPLORE_TEST_STEAL_JITTER`
 //! wake-order shuffle the CI scheduler-stress job uses.
 
-use flexplore::explore_crate::{possible_resource_allocations_obs, ShardedMemo};
+use flexplore::explore_crate::{possible_resource_allocations, ShardedMemo};
 use flexplore::models::{
     automotive_spec, baseband_spec, cloud_fpga_spec, dual_slot_fpga, AutomotiveConfig,
     BasebandConfig, CloudFpgaConfig,
 };
 use flexplore::{
-    explore_with_obs, set_top_box, synthetic_spec, tv_decoder, AllocationOptions, CompiledSpec,
+    explore_compiled_obs, set_top_box, synthetic_spec, tv_decoder, AllocationOptions, CompiledSpec,
     ExploreOptions, ObsSink, SpecificationGraph, SyntheticConfig, UnitMask,
 };
 use std::collections::HashMap;
@@ -63,7 +63,12 @@ fn threaded(threads: usize) -> ExploreOptions {
 /// comparable byte string.
 fn fingerprint(name: &str, spec: &SpecificationGraph, threads: usize) -> String {
     let sink = ObsSink::enabled();
-    let result = explore_with_obs(spec, &threaded(threads), &sink).unwrap();
+    let result = explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(spec),
+        &threaded(threads),
+        &sink,
+    )
+    .unwrap();
     let report = sink.report("steal-test", name, threads);
     format!(
         "{}|{:?}|{}",
@@ -132,14 +137,14 @@ fn cross_worker_hits_never_change_emitted_estimates() {
         ..AllocationOptions::default()
     };
     let (seq_candidates, seq_stats) =
-        possible_resource_allocations_obs(&compiled, &options(1), &ObsSink::disabled()).unwrap();
+        possible_resource_allocations(&compiled, &options(1), &ObsSink::disabled()).unwrap();
     assert!(
         seq_stats.memo_cross_hits > 0,
         "set-top-box must exercise cross-subtree memo reuse, stats: {seq_stats:?}"
     );
     for threads in [2, 8] {
         let (par_candidates, par_stats) =
-            possible_resource_allocations_obs(&compiled, &options(threads), &ObsSink::disabled())
+            possible_resource_allocations(&compiled, &options(threads), &ObsSink::disabled())
                 .unwrap();
         assert_eq!(
             serde_json::to_string(&seq_candidates).unwrap(),

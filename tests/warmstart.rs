@@ -9,8 +9,8 @@ use flexplore::explore_crate::{explore_compiled_warm, CacheEntry};
 use flexplore::models::{spec_from_json, spec_to_json};
 use flexplore::spec::fingerprint;
 use flexplore::{
-    automotive_spec, baseband_spec, cloud_fpga_spec, dual_slot_fpga, explore_with_obs, set_top_box,
-    synthetic_spec, tv_decoder, AllocationOptions, AutomotiveConfig, BasebandConfig,
+    automotive_spec, baseband_spec, cloud_fpga_spec, dual_slot_fpga, explore_compiled_obs,
+    set_top_box, synthetic_spec, tv_decoder, AllocationOptions, AutomotiveConfig, BasebandConfig,
     CloudFpgaConfig, CompiledSpec, ExploreCache, ExploreOptions, ExploreResult, ExploreStats,
     ObsSink, SpecificationGraph, SyntheticConfig, WarmMode,
 };
@@ -214,7 +214,12 @@ fn warm_obs_counters_match_cold_obs_counters() {
     let options = threaded(1);
 
     let cold_obs = ObsSink::enabled();
-    explore_with_obs(&edited, &options, &cold_obs).unwrap();
+    explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(&edited),
+        &options,
+        &cold_obs,
+    )
+    .unwrap();
     let cold_report = cold_obs.report("explore", "synthetic-wide", 1);
 
     let warm_obs = ObsSink::enabled();
@@ -249,7 +254,12 @@ fn disk_cache_warms_across_processes_and_survives_corruption() {
     let edited = bump_numeric_field(&base, "latency", 1);
     let warm = cache.explore(&edited, &options, &obs).unwrap();
     assert_eq!(warm.summary.mode, WarmMode::Replay);
-    let cold = explore_with_obs(&edited, &options, &obs).unwrap();
+    let cold = explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(&edited),
+        &options,
+        &obs,
+    )
+    .unwrap();
     assert_matches_cold(&warm.result, &cold, "disk replay");
     assert_eq!(
         warm.summary.fingerprint,
@@ -277,6 +287,46 @@ fn disk_cache_warms_across_processes_and_survives_corruption() {
     assert_eq!(healed.summary.mode, WarmMode::Exact);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Concurrent watchers sharing one cache directory: every store replaces
+/// the file in one step, so no reader ever sees an empty or partial entry
+/// (which would cost it a warning and a colder re-explore).
+#[test]
+fn concurrent_writers_never_leave_torn_cache_files() {
+    let dir = std::env::temp_dir().join(format!(
+        "flexplore-warmstart-concurrent-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = set_top_box().spec;
+    let options = threaded(1);
+    // All three writers start together, so their stores overlap.
+    let start = std::sync::Barrier::new(3);
+    let warnings: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                scope.spawn(|| {
+                    let cache = ExploreCache::new(&dir);
+                    let mut warnings = Vec::new();
+                    start.wait();
+                    for _ in 0..150 {
+                        let outcome = cache
+                            .explore(&spec, &options, &ObsSink::disabled())
+                            .unwrap();
+                        warnings.extend(outcome.summary.warnings);
+                    }
+                    warnings
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("cache worker"))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(warnings.is_empty(), "torn cache files: {warnings:?}");
 }
 
 #[test]
