@@ -494,20 +494,16 @@ impl<'a> AdaptiveSystem<'a> {
             return None;
         }
         let available = self.surviving_available();
-        let comm = CommGraph::new(self.spec.architecture(), &available);
+        let compiled = CompiledSpec::new(self.spec);
+        let comm = CommGraph::from_compiled(&compiled, &available);
         let ecas = self.spec.problem().graph().enumerate_selections().ok()?;
         let options = BindOptions::default();
         for eca in &ecas {
             if !behavior.iter().all(|(i, c)| eca.get(i) == Some(c)) {
                 continue;
             }
-            let (solved, _) = solve_mode(
-                self.spec,
-                &self.implementation.allocation,
-                &comm,
-                eca,
-                &options,
-            );
+            let allocation = &self.implementation.allocation;
+            let (solved, _) = solve_mode(&compiled, allocation, &comm, eca, &options);
             if let Some(mode) = solved {
                 return Some(self.adopt_degraded_mode(mode));
             }
@@ -524,7 +520,8 @@ impl<'a> AdaptiveSystem<'a> {
         }
         let active = self.spec.problem().graph().active_under(requested).ok()?;
         let available = self.surviving_available();
-        let comm = CommGraph::new(self.spec.architecture(), &available);
+        let compiled = CompiledSpec::new(self.spec);
+        let comm = CommGraph::from_compiled(&compiled, &available);
         let ecas = self.spec.problem().graph().enumerate_selections().ok()?;
         let options = BindOptions::default();
         for eca in &ecas {
@@ -535,13 +532,8 @@ impl<'a> AdaptiveSystem<'a> {
             {
                 continue;
             }
-            let (solved, _) = solve_mode(
-                self.spec,
-                &self.implementation.allocation,
-                &comm,
-                eca,
-                &options,
-            );
+            let allocation = &self.implementation.allocation;
+            let (solved, _) = solve_mode(&compiled, allocation, &comm, eca, &options);
             if let Some(mode) = solved {
                 return Some(self.adopt_degraded_mode(mode));
             }

@@ -14,97 +14,83 @@
 //! through buses, which are top-level and configuration-independent, so
 //! queries over the potential adjacency agree with the per-mode flattened
 //! answer for the resource pairs the solver asks about.
+//!
+//! The answers are dense reach rows ([`ReachRows`], built from bus
+//! components in both constructors), so [`CommGraph::comm_ok`] is a single
+//! bit test.
 
 use flexplore_hgraph::{NodeRef, VertexId};
-use flexplore_spec::{ArchitectureGraph, CompiledSpec};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use flexplore_spec::{ArchitectureGraph, CompiledSpec, ReachRows, ResourceKind};
+use std::collections::BTreeSet;
 
 /// Precomputed communication reachability among the available vertices of a
 /// resource allocation.
 #[derive(Debug, Clone)]
 pub struct CommGraph {
-    adjacency: BTreeMap<VertexId, Vec<VertexId>>,
-    comm: BTreeSet<VertexId>,
+    reach: ReachRows,
     available: BTreeSet<VertexId>,
 }
 
 impl CommGraph {
-    /// Builds the potential adjacency over `available` vertices of
+    /// Builds the potential reachability over `available` vertices of
     /// `architecture`.
     #[must_use]
     pub fn new(architecture: &ArchitectureGraph, available: &BTreeSet<VertexId>) -> Self {
         let graph = architecture.graph();
-        let mut adjacency: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
-        // Resolve an endpoint to the set of available concrete vertices it
-        // may denote: itself for plain vertices, every available design
-        // leaf for device interfaces.
+        // Resolve an endpoint to the concrete vertices it may denote:
+        // itself for plain vertices, every design leaf for device
+        // interfaces. Unavailable ones have no row, so links to them
+        // (e.g. inside unallocated design clusters) are dropped.
         let resolve = |node: NodeRef| -> Vec<VertexId> {
             match node {
-                NodeRef::Vertex(v) => {
-                    if available.contains(&v) {
-                        vec![v]
-                    } else {
-                        Vec::new()
-                    }
-                }
+                NodeRef::Vertex(v) => vec![v],
                 NodeRef::Interface(i) => graph
                     .clusters_of(i)
                     .iter()
                     .flat_map(|&c| graph.leaves_of_cluster(c))
-                    .filter(|v| available.contains(v))
                     .collect(),
             }
         };
+        let mut links = Vec::new();
         for e in graph.edge_ids() {
-            // Links inside unallocated design clusters are irrelevant:
-            // their endpoints are not available, so `resolve` drops them.
             let (from, to) = graph.edge_endpoints(e);
-            for &a in &resolve(from.node) {
-                for &b in &resolve(to.node) {
-                    adjacency.entry(a).or_default().push(b);
-                    adjacency.entry(b).or_default().push(a);
-                }
+            let to = resolve(to.node);
+            for a in resolve(from.node) {
+                links.extend(to.iter().map(|&b| (a, b)));
             }
         }
-        let comm = architecture
-            .communication_resources()
-            .filter(|v| available.contains(v))
-            .collect();
-        CommGraph {
-            adjacency,
-            comm,
-            available: available.clone(),
-        }
+        Self::from_links(architecture, available, links)
     }
 
-    /// Builds the potential adjacency from the precompiled edge-endpoint
+    /// Builds the potential reachability from the precompiled edge-endpoint
     /// tables of a [`CompiledSpec`], avoiding the per-edge graph walks of
-    /// [`CommGraph::new`].
-    ///
-    /// The compiled tables store the *unfiltered* candidates each endpoint
-    /// resolves to, in the same order `new` derives them; filtering by
-    /// `available` here therefore pushes the same adjacency entries in the
-    /// same order — the two constructors produce identical graphs.
+    /// [`CommGraph::new`]. The compiled tables resolve every edge exactly
+    /// as `new` does, so the two constructors answer identically.
     #[must_use]
     pub fn from_compiled(compiled: &CompiledSpec<'_>, available: &BTreeSet<VertexId>) -> Self {
-        let mut adjacency: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
-        for (from, to) in compiled.arch_edge_endpoints() {
-            for &a in from.iter().filter(|v| available.contains(v)) {
-                for &b in to.iter().filter(|v| available.contains(v)) {
-                    adjacency.entry(a).or_default().push(b);
-                    adjacency.entry(b).or_default().push(a);
-                }
-            }
-        }
-        let comm = compiled
-            .comm_vertices()
+        let links = compiled
+            .arch_edge_endpoints()
             .iter()
-            .copied()
-            .filter(|v| available.contains(v))
-            .collect();
+            .flat_map(|(from, to)| {
+                from.iter()
+                    .flat_map(move |&a| to.iter().map(move |&b| (a, b)))
+            });
+        Self::from_links(compiled.spec().architecture(), available, links)
+    }
+
+    fn from_links(
+        architecture: &ArchitectureGraph,
+        available: &BTreeSet<VertexId>,
+        links: impl IntoIterator<Item = (VertexId, VertexId)>,
+    ) -> Self {
+        let reach = ReachRows::new(
+            architecture.graph().vertex_count(),
+            available.iter().copied(),
+            links,
+            |v| architecture.kind(v) == ResourceKind::Communication,
+        );
         CommGraph {
-            adjacency,
-            comm,
+            reach,
             available: available.clone(),
         }
     }
@@ -114,28 +100,7 @@ impl CommGraph {
     /// available communication resources.
     #[must_use]
     pub fn comm_ok(&self, from: VertexId, to: VertexId) -> bool {
-        if from == to {
-            return true;
-        }
-        if !self.available.contains(&from) || !self.available.contains(&to) {
-            return false;
-        }
-        let mut seen = BTreeSet::from([from]);
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            let Some(neighbors) = self.adjacency.get(&v) else {
-                continue;
-            };
-            for &n in neighbors {
-                if n == to {
-                    return true;
-                }
-                if self.comm.contains(&n) && seen.insert(n) {
-                    queue.push_back(n);
-                }
-            }
-        }
-        false
+        self.reach.reaches(from, to)
     }
 
     /// The available vertices this graph was built over.

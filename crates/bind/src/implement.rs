@@ -10,7 +10,7 @@
 //! it through.
 
 use crate::comm::CommGraph;
-use crate::solver::{solve_mode_compiled, BindOptions, ModeImplementation, SolveStats};
+use crate::solver::{BindKernel, BindOptions, ModeImplementation, SolveStats};
 use flexplore_flex::{estimate_with_compiled, flexibility, Flexibility};
 use flexplore_hgraph::{ClusterId, VertexId};
 use flexplore_obs::{phase, ObsSink};
@@ -166,13 +166,18 @@ pub struct ImplementStats {
 /// activatable set (see [`BindingBatch`](crate::BindingBatch)), so
 /// implementations and stats are identical with or without it.
 ///
+/// The per-allocation search tables — the communication reach rows, the
+/// design index and the availability-filtered candidate lists — are built
+/// once and shared by every activation; masked `excluded_resources` are
+/// outside both the search and the verification of its solutions.
+///
 /// Busy time of the feasibility estimate (`bind.estimate`), the
-/// communication-graph construction (`bind.comm`), the backtracking
-/// binding search (`bind.solve`, one call per elementary
-/// cluster-activation) and the implemented-flexibility evaluation
-/// (`bind.flex`) is recorded into `obs`; with a disabled sink no clocks
-/// are read. Safe to call from worker threads sharing one sink: only
-/// dotted sub-phases are recorded, which aggregate order-free.
+/// per-allocation tables (`bind.comm`), the backtracking binding search
+/// (`bind.solve`, one call per elementary cluster-activation) and the
+/// implemented-flexibility evaluation (`bind.flex`) is recorded into
+/// `obs`; with a disabled sink no clocks are read. Safe to call from
+/// worker threads sharing one sink: only dotted sub-phases are recorded,
+/// which aggregate order-free.
 ///
 /// # Errors
 ///
@@ -222,14 +227,14 @@ pub fn implement_allocation(
 
     let timer = obs.start();
     let comm = CommGraph::from_compiled(compiled, &available);
+    let mut kernel = BindKernel::new(compiled, allocation, &comm, &options.bind);
     obs.finish(phase::BIND_COMM, timer);
     let mut modes = Vec::new();
     let mut covered: BTreeSet<ClusterId> = BTreeSet::new();
     for eca in ecas.iter() {
         stats.activations += 1;
         let timer = obs.start();
-        let (solved, solve_stats) =
-            solve_mode_compiled(compiled, allocation, &comm, eca, &options.bind);
+        let (solved, solve_stats) = kernel.solve(eca);
         obs.finish(phase::BIND_SOLVE, timer);
         stats.solve.assignments += solve_stats.assignments;
         stats.solve.backtracks += solve_stats.backtracks;

@@ -17,7 +17,8 @@
 //!    feasible modes.
 //!
 //! The declarative feasibility checker of `flexplore-spec` independently
-//! re-verifies every mode the solver returns (see [`BindOptions::verify`]).
+//! re-verifies every mode the solver returns (see [`BindOptions::verify`]),
+//! over the resources the search was allowed to use.
 //!
 //! # Examples
 //!
@@ -89,10 +90,11 @@ pub use implement::{
     Implementation,
 };
 pub use solver::{
-    mode_is_feasible, mode_timing_accepts, solve_mode, solve_mode_compiled, BindOptions,
-    ModeImplementation, SolveStats,
+    mode_is_feasible, mode_timing_accepts, solve_mode, BindOptions, ModeImplementation, SolveStats,
 };
-pub use timing::{inherited_periods, mode_meets_timing, resource_task_sets};
+pub use timing::{
+    activation_meets_timing, inherited_periods, mode_meets_timing, resource_task_sets,
+};
 
 // Re-exported so downstream users of the solver API have the allocation
 // and sink types of `implement_allocation` in scope without importing

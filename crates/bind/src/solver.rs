@@ -3,8 +3,8 @@
 //!
 //! Binding is NP-complete (the paper cites Blickle et al. for the
 //! reduction), so the solver is a backtracking search with
-//! most-constrained-variable ordering and three pruning rules applied at
-//! every partial assignment:
+//! most-constrained-variable ordering and pruning rules applied at every
+//! partial assignment:
 //!
 //! * **resource availability** — only mapping edges into the candidate
 //!   allocation are considered;
@@ -16,13 +16,24 @@
 //! * **utilization** — the per-resource task sets of the partial binding
 //!   must already pass the schedulability policy (all provided policies are
 //!   monotone: adding a task never helps).
+//!
+//! The search allocates nothing per assignment once its buffers have
+//! grown. What depends only on the allocation — the design index and the
+//! availability-filtered candidate lists — is built once in
+//! [`BindKernel::new`], and the verifier's architecture views are cached
+//! per device configuration; every activation solved on the allocation
+//! shares them. Along the search, the bound resources, the held device
+//! configurations and the per-resource demand lists are pushed and popped,
+//! and an assignment re-checks only the resource it touched: every other
+//! resource's demands are unchanged and passed at the previous depth, so
+//! the verdict equals re-checking every resource.
 
 use crate::comm::CommGraph;
-use crate::timing::mode_meets_timing;
-use flexplore_hgraph::{ClusterId, InterfaceId, Selection, VertexId};
-use flexplore_sched::{SchedPolicy, Task, TaskSet, Time};
+use crate::timing::{activation_meets_timing, mode_meets_timing};
+use flexplore_hgraph::{ClusterId, FlatEdge, InterfaceId, Selection, VertexId};
+use flexplore_sched::{SchedPolicy, Time};
 use flexplore_spec::{
-    Binding, CompiledActivation, CompiledSpec, MappingId, Mode, ResourceAllocation,
+    ArchView, Binding, CompiledActivation, CompiledSpec, MappingId, Mode, ResourceAllocation,
     SpecificationGraph,
 };
 use serde::{Deserialize, Serialize};
@@ -38,9 +49,9 @@ pub struct BindOptions {
     /// reports the activation infeasible. Guards against pathological
     /// instances; the paper-scale models stay far below it.
     pub max_steps: u64,
-    /// Re-verify every solution against the declarative checker
-    /// (`SpecificationGraph::check_binding`) before returning it. Cheap at
-    /// paper scale and a strong safety net; disable for large sweeps.
+    /// Re-verify every solution against the declarative binding rules
+    /// (`SpecificationGraph::check_binding_rules`, over a per-configuration
+    /// architecture view) and the timing test before returning it.
     pub verify: bool,
 }
 
@@ -74,286 +85,423 @@ pub struct ModeImplementation {
 }
 
 /// Searches for a feasible binding of the elementary cluster-activation
-/// `eca` on `allocation`.
+/// `eca` on `allocation`, over the resources `comm` was built on.
 ///
 /// Returns `None` when no feasible binding exists (or the step budget is
 /// exhausted). On success, the returned mode satisfies the binding
-/// feasibility rules *and* the timing policy.
+/// feasibility rules *and* the timing policy. Candidate mappings come from
+/// the latency-sorted compiled tables, periods from the dense
+/// inherited-period table of the (cached or on-demand) activation.
+///
+/// Solving many activations on one allocation? [`implement_allocation`]
+/// builds the per-allocation tables once for all of them.
+///
+/// [`implement_allocation`]: crate::implement_allocation
 ///
 /// # Panics
 ///
 /// Panics if `eca` references interfaces or clusters that are not part of
 /// the specification's problem graph.
 pub fn solve_mode(
-    spec: &SpecificationGraph,
-    allocation: &ResourceAllocation,
-    comm: &CommGraph,
-    eca: &Selection,
-    options: &BindOptions,
-) -> (Option<ModeImplementation>, SolveStats) {
-    let compiled = CompiledSpec::new(spec);
-    solve_mode_compiled(&compiled, allocation, comm, eca, options)
-}
-
-/// [`solve_mode`] over a precompiled specification context: domains come
-/// from the latency-sorted mapping tables, periods from the dense
-/// inherited-period table of the (cached or on-demand) activation, and
-/// design bookkeeping from the cached cluster-leaf lists.
-///
-/// Produces the same result and the same [`SolveStats`] as [`solve_mode`]:
-/// the compiled tables are exact images of the queries the uncompiled path
-/// performs (see the `flexplore-spec` compiled-module invariants).
-pub fn solve_mode_compiled(
     compiled: &CompiledSpec<'_>,
     allocation: &ResourceAllocation,
     comm: &CommGraph,
     eca: &Selection,
     options: &BindOptions,
 ) -> (Option<ModeImplementation>, SolveStats) {
-    let spec = compiled.spec();
-    let mut stats = SolveStats::default();
-    let on_demand;
-    let activation: &CompiledActivation = match compiled.activation(eca) {
-        Some(cached) => cached,
-        None => match compiled.compile_activation(eca) {
-            Ok(fresh) => {
-                on_demand = fresh;
-                &on_demand
+    BindKernel::new(compiled, allocation, comm, options).solve(eca)
+}
+
+/// One candidate mapping of a process, with the fields the search reads.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    mapping: MappingId,
+    resource: VertexId,
+    latency: Time,
+}
+
+/// One periodic demand on a resource. The derived order — period, then
+/// process — is the rate-monotonic order a `TaskSet` built in process
+/// order keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Demand {
+    period: Time,
+    process: VertexId,
+    wcet: Time,
+}
+
+/// Marks a problem vertex outside the current activation.
+const UNPLACED: u32 = u32::MAX;
+
+/// The binding search over one allocation: tables that depend only on the
+/// allocation, built once, plus search state reused by every activation.
+#[derive(Debug)]
+pub(crate) struct BindKernel<'k, 'a> {
+    tables: Tables<'k, 'a>,
+    /// Verification views by device configuration (`None`: the
+    /// configuration does not flatten).
+    views: BTreeMap<Selection, Option<ArchView>>,
+    search: Search,
+}
+
+/// The read-only part of a [`BindKernel`].
+#[derive(Debug)]
+struct Tables<'k, 'a> {
+    compiled: &'k CompiledSpec<'a>,
+    comm: &'k CommGraph,
+    options: &'k BindOptions,
+    /// Per architecture vertex index: the device and design cluster of an
+    /// allocated design leaf.
+    design_of: Vec<Option<(InterfaceId, ClusterId)>>,
+    /// Candidates of problem vertex `v` are
+    /// `candidates[offsets[v]..offsets[v + 1]]`, fastest first, available
+    /// resources only.
+    offsets: Vec<usize>,
+    candidates: Vec<Candidate>,
+}
+
+impl Tables<'_, '_> {
+    fn candidates_of(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.offsets[v.index()]..self.offsets[v.index() + 1]
+    }
+}
+
+/// The per-activation search state, pushed and popped along the search.
+#[derive(Debug, Default)]
+struct Search {
+    /// Processes in search order: most constrained first.
+    order: Vec<VertexId>,
+    /// Per problem vertex index: its depth in `order`, or [`UNPLACED`].
+    depth_of: Vec<u32>,
+    /// Per depth: the inherited period of a timed process.
+    period_at: Vec<Option<Time>>,
+    /// Dependences of depth `d` into earlier depths are
+    /// `earlier[earlier_offsets[d]..earlier_offsets[d + 1]]`.
+    earlier_offsets: Vec<usize>,
+    earlier: Vec<u32>,
+    /// Fill cursor per depth while `earlier` is laid out.
+    cursor: Vec<usize>,
+    /// Per depth: the chosen candidate index and its resource.
+    chosen: Vec<usize>,
+    resource_at: Vec<VertexId>,
+    /// Per device interface index: the design it holds in this mode.
+    held: Vec<Option<ClusterId>>,
+    /// Per architecture vertex index: the resource's demands, in
+    /// rate-monotonic order.
+    demands: Vec<Vec<Demand>>,
+}
+
+impl<'k, 'a> BindKernel<'k, 'a> {
+    /// Builds the per-allocation tables: the dense design index, and the
+    /// candidate mappings of every process filtered to the resources
+    /// `comm` was built on.
+    pub(crate) fn new(
+        compiled: &'k CompiledSpec<'a>,
+        allocation: &ResourceAllocation,
+        comm: &'k CommGraph,
+        options: &'k BindOptions,
+    ) -> Self {
+        let spec = compiled.spec();
+        let arch = spec.architecture().graph();
+        let mut design_of = vec![None; arch.vertex_count()];
+        for &c in &allocation.clusters {
+            // Allocations built from user input can name clusters the
+            // architecture does not have; such clusters contribute nothing
+            // rather than panicking (flexlint reports them as F003/F005).
+            if c.index() >= arch.cluster_count() {
+                continue;
             }
-            Err(_) => return (None, stats),
-        },
-    };
-    let flat = &activation.flat;
-    let available = comm.available();
+            let device = arch.interface_of(c);
+            for &v in compiled.cluster_leaves(c) {
+                design_of[v.index()] = Some((device, c));
+            }
+        }
 
-    // Device bookkeeping: design vertex -> (device, cluster).
-    let device_of: BTreeMap<VertexId, (InterfaceId, ClusterId)> =
-        design_index(compiled, allocation);
+        let mut allocated = vec![false; arch.vertex_count()];
+        for v in comm.available() {
+            if let Some(flag) = allocated.get_mut(v.index()) {
+                *flag = true;
+            }
+        }
+        // The compiled lists are latency-stable-sorted, and filtering
+        // commutes with a stable sort: candidates stay fastest first, ties
+        // in mapping-id order.
+        let processes = spec.problem().graph().vertex_count();
+        let mut offsets = Vec::with_capacity(processes + 1);
+        let mut candidates = Vec::new();
+        offsets.push(0);
+        for v in 0..processes {
+            for &m in compiled.mappings_of(VertexId::from_index(v)) {
+                let mapping = spec.mapping(m);
+                if allocated.get(mapping.resource.index()) == Some(&true) {
+                    candidates.push(Candidate {
+                        mapping: m,
+                        resource: mapping.resource,
+                        latency: mapping.latency,
+                    });
+                }
+            }
+            offsets.push(candidates.len());
+        }
 
-    // Candidate mappings per process, fastest first. The compiled table is
-    // already latency-stable-sorted, and filtering commutes with a stable
-    // sort, so the candidate order matches the previous on-the-fly sort.
-    let mut domains: Vec<(VertexId, Vec<MappingId>)> = flat
-        .vertices
-        .iter()
-        .map(|&v| {
-            let cands: Vec<MappingId> = compiled
-                .mappings_of(v)
-                .iter()
-                .copied()
-                .filter(|&m| available.contains(&spec.mapping(m).resource))
-                .collect();
-            (v, cands)
-        })
-        .collect();
-    // Most constrained first.
-    domains.sort_by_key(|(_, cands)| cands.len());
-    if domains.iter().any(|(_, cands)| cands.is_empty()) {
-        return (None, stats);
+        let search = Search {
+            depth_of: vec![UNPLACED; processes],
+            held: vec![None; arch.interface_count()],
+            demands: vec![Vec::new(); arch.vertex_count()],
+            ..Search::default()
+        };
+        BindKernel {
+            tables: Tables {
+                compiled,
+                comm,
+                options,
+                design_of,
+                offsets,
+                candidates,
+            },
+            views: BTreeMap::new(),
+            search,
+        }
     }
 
-    // Dependences indexed by process for incremental communication checks.
-    let mut edges_of: BTreeMap<VertexId, Vec<(VertexId, VertexId)>> = BTreeMap::new();
-    for e in &flat.edges {
-        edges_of.entry(e.from).or_default().push((e.from, e.to));
-        edges_of.entry(e.to).or_default().push((e.from, e.to));
-    }
-
-    let mut binding = Binding::new();
-    let mut configs: BTreeMap<InterfaceId, ClusterId> = BTreeMap::new();
-    let found = backtrack(
-        spec,
-        comm,
-        options,
-        &domains,
-        &edges_of,
-        &activation.periods,
-        &device_of,
-        0,
-        &mut binding,
-        &mut configs,
-        &mut stats,
-    );
-    if !found {
-        return (None, stats);
-    }
-    let arch_selection: Selection = configs.iter().map(|(&i, &c)| (i, c)).collect();
-    let mode = Mode::new(eca.clone(), arch_selection);
-    let implementation = ModeImplementation { mode, binding };
-    if options.verify {
-        let allocated = compiled.available_vertices(allocation);
-        if spec
-            .check_binding(&implementation.mode, &allocated, &implementation.binding)
-            .is_err()
-            || !mode_meets_timing(spec, flat, &implementation.binding, options.policy)
-        {
+    /// Searches a feasible binding of `eca` (see [`solve_mode`]).
+    pub(crate) fn solve(&mut self, eca: &Selection) -> (Option<ModeImplementation>, SolveStats) {
+        let mut stats = SolveStats::default();
+        let compiled = self.tables.compiled;
+        let on_demand;
+        let activation: &CompiledActivation = match compiled.activation(eca) {
+            Some(cached) => cached,
+            None => match compiled.compile_activation(eca) {
+                Ok(fresh) => {
+                    on_demand = fresh;
+                    &on_demand
+                }
+                Err(_) => return (None, stats),
+            },
+        };
+        let placed = self.search.place(&self.tables, activation);
+        let found = placed && self.search.backtrack(&self.tables, 0, &mut stats);
+        let solution = found.then(|| self.search.solution(&self.tables, eca));
+        self.search.clear();
+        let Some(implementation) = solution else {
+            return (None, stats);
+        };
+        if self.tables.options.verify && !self.verify(activation, &implementation) {
             // The constructive search and the declarative checker disagree;
             // treat as infeasible rather than return an unverified mode.
             return (None, stats);
         }
+        (Some(implementation), stats)
     }
-    (Some(implementation), stats)
+
+    /// The declarative check of a solved mode: binding rules 1–3 over the
+    /// activation's flattened graph and the configuration's cached
+    /// architecture view (restricted to the resources the search used),
+    /// then timing over the activation's period table.
+    fn verify(&mut self, activation: &CompiledActivation, solved: &ModeImplementation) -> bool {
+        let spec = self.tables.compiled.spec();
+        let available = self.tables.comm.available();
+        let configuration = &solved.mode.architecture;
+        if !self.views.contains_key(configuration) {
+            let view = spec.arch_view(configuration, available).ok();
+            self.views.insert(configuration.clone(), view);
+        }
+        let Some(view) = &self.views[configuration] else {
+            return false;
+        };
+        spec.check_binding_rules(&activation.flat, view, &solved.binding)
+            .is_ok()
+            && activation_meets_timing(
+                spec,
+                activation,
+                &solved.binding,
+                self.tables.options.policy,
+            )
+    }
 }
 
-/// Maps every available design vertex to its reconfigurable device and
-/// design cluster.
-fn design_index(
-    compiled: &CompiledSpec<'_>,
-    allocation: &ResourceAllocation,
-) -> BTreeMap<VertexId, (InterfaceId, ClusterId)> {
-    let graph = compiled.spec().architecture().graph();
-    let mut out = BTreeMap::new();
-    for &c in &allocation.clusters {
-        // Allocations built from user input can name clusters the
-        // architecture does not have; such clusters contribute nothing
-        // rather than panicking (flexlint reports them as F003/F005).
-        if c.index() >= graph.cluster_count() {
-            continue;
-        }
-        let device = graph.interface_of(c);
-        for &v in compiled.cluster_leaves(c) {
-            out.insert(v, (device, c));
-        }
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion carries the full search state
-fn backtrack(
-    spec: &SpecificationGraph,
-    comm: &CommGraph,
-    options: &BindOptions,
-    domains: &[(VertexId, Vec<MappingId>)],
-    edges_of: &BTreeMap<VertexId, Vec<(VertexId, VertexId)>>,
-    periods: &[Option<Time>],
-    device_of: &BTreeMap<VertexId, (InterfaceId, ClusterId)>,
-    depth: usize,
-    binding: &mut Binding,
-    configs: &mut BTreeMap<InterfaceId, ClusterId>,
-    stats: &mut SolveStats,
-) -> bool {
-    if depth == domains.len() {
-        return true;
-    }
-    if stats.assignments >= options.max_steps {
-        return false;
-    }
-    let (process, candidates) = &domains[depth];
-    'candidates: for &m in candidates {
-        stats.assignments += 1;
-        if stats.assignments > options.max_steps {
+impl Search {
+    /// Lays out the search for `activation`: the most-constrained-first
+    /// order, each depth's period and its dependences into earlier depths.
+    /// Returns `false` when some process has no candidate.
+    fn place(&mut self, tables: &Tables<'_, '_>, activation: &CompiledActivation) -> bool {
+        let problem = tables.compiled.spec().problem();
+        let flat = &activation.flat;
+        // Stable, over the id-sorted flat vertices: (count, id) order.
+        self.order.extend_from_slice(&flat.vertices);
+        self.order.sort_by_key(|&v| tables.candidates_of(v).len());
+        if self
+            .order
+            .iter()
+            .any(|&v| tables.candidates_of(v).is_empty())
+        {
             return false;
         }
-        let resource = spec.mapping(m).resource;
-
-        // Configuration consistency for reconfigurable designs.
-        let mut inserted_config = None;
-        if let Some(&(device, cluster)) = device_of.get(&resource) {
-            match configs.get(&device) {
-                Some(&held) if held != cluster => continue 'candidates,
-                Some(_) => {}
-                None => {
-                    configs.insert(device, cluster);
-                    inserted_config = Some(device);
-                }
-            }
+        let n = self.order.len();
+        for (d, &v) in self.order.iter().enumerate() {
+            self.depth_of[v.index()] = d as u32;
+            let period = activation.periods.get(v.index()).copied().flatten();
+            self.period_at
+                .push(period.filter(|_| !problem.is_negligible(v)));
         }
-
-        binding.bind(*process, m);
-
-        // Communication feasibility against already-bound neighbors.
-        let mut ok = true;
-        if let Some(edges) = edges_of.get(process) {
-            for &(from, to) in edges {
-                let (Some(rf), Some(rt)) = (
-                    binding.resource_for(spec, from),
-                    binding.resource_for(spec, to),
-                ) else {
-                    continue;
-                };
-                if !comm.comm_ok(rf, rt) {
-                    ok = false;
-                    break;
-                }
-            }
+        // Only dependences into earlier depths can have both ends bound;
+        // a self-loop is always routable.
+        let depth_of = &self.depth_of;
+        let later_earlier = |e: &FlatEdge| {
+            let (a, b) = (depth_of[e.from.index()], depth_of[e.to.index()]);
+            (a != b && a != UNPLACED && b != UNPLACED).then(|| (a.max(b) as usize, a.min(b)))
+        };
+        self.earlier_offsets.resize(n + 1, 0);
+        for (later, _) in flat.edges.iter().filter_map(later_earlier) {
+            self.earlier_offsets[later + 1] += 1;
         }
-
-        // Utilization pruning on the partial binding.
-        if ok && !partial_timing_ok(spec, binding, periods, options.policy) {
-            ok = false;
+        for d in 0..n {
+            self.earlier_offsets[d + 1] += self.earlier_offsets[d];
         }
+        self.earlier.resize(self.earlier_offsets[n], 0);
+        self.cursor.extend_from_slice(&self.earlier_offsets[..n]);
+        for (later, earlier) in flat.edges.iter().filter_map(later_earlier) {
+            self.earlier[self.cursor[later]] = earlier;
+            self.cursor[later] += 1;
+        }
+        self.chosen.resize(n, 0);
+        self.resource_at.resize(n, VertexId::from_index(0));
+        true
+    }
 
-        if ok
-            && backtrack(
-                spec,
-                comm,
-                options,
-                domains,
-                edges_of,
-                periods,
-                device_of,
-                depth + 1,
-                binding,
-                configs,
-                stats,
-            )
-        {
+    /// The mode and binding of the current (complete) assignment.
+    fn solution(&self, tables: &Tables<'_, '_>, eca: &Selection) -> ModeImplementation {
+        let binding: Binding = self
+            .order
+            .iter()
+            .zip(&self.chosen)
+            .map(|(&v, &k)| (v, tables.candidates[k].mapping))
+            .collect();
+        let configuration: Selection = self
+            .held
+            .iter()
+            .enumerate()
+            .filter_map(|(i, held)| held.map(|c| (InterfaceId::from_index(i), c)))
+            .collect();
+        ModeImplementation {
+            mode: Mode::new(eca.clone(), configuration),
+            binding,
+        }
+    }
+
+    /// Tries every candidate of the process at `depth` in order, recursing
+    /// on each assignment that passes the pruning rules. Leaves the
+    /// assignment in place on success and undoes it otherwise.
+    fn backtrack(&mut self, tables: &Tables<'_, '_>, depth: usize, stats: &mut SolveStats) -> bool {
+        if depth == self.order.len() {
             return true;
         }
-
-        // Undo.
-        stats.backtracks += 1;
-        binding.remove(*process);
-        if let Some(device) = inserted_config {
-            configs.remove(&device);
-        }
-    }
-    false
-}
-
-/// Rebuilds the per-resource task sets of the partial binding and applies
-/// the policy. Partial bindings only ever shrink the final task sets, and
-/// all policies are monotone, so a failing partial set can never be
-/// completed into a passing one.
-fn partial_timing_ok(
-    spec: &SpecificationGraph,
-    binding: &Binding,
-    periods: &[Option<Time>],
-    policy: SchedPolicy,
-) -> bool {
-    let mut sets: BTreeMap<VertexId, TaskSet> = BTreeMap::new();
-    for (process, m) in binding.iter() {
-        if spec.problem().is_negligible(process) {
-            continue;
-        }
-        let Some(period) = periods.get(process.index()).copied().flatten() else {
-            continue;
-        };
-        let mapping = spec.mapping(m);
-        let Ok(task) = Task::try_new(
-            spec.problem().process_name(process),
-            mapping.latency,
-            period,
-        ) else {
-            // A zero-period task admits no schedule: prune the assignment.
+        let options = tables.options;
+        if stats.assignments >= options.max_steps {
             return false;
-        };
-        sets.entry(mapping.resource).or_default().push(task);
+        }
+        let process = self.order[depth];
+        for k in tables.candidates_of(process) {
+            stats.assignments += 1;
+            if stats.assignments > options.max_steps {
+                return false;
+            }
+            let candidate = tables.candidates[k];
+            let resource = candidate.resource;
+
+            // Configuration consistency for reconfigurable designs.
+            let mut claimed = None;
+            if let Some((device, cluster)) = tables.design_of[resource.index()] {
+                match self.held[device.index()] {
+                    Some(held) if held != cluster => continue,
+                    Some(_) => {}
+                    None => {
+                        self.held[device.index()] = Some(cluster);
+                        claimed = Some(device);
+                    }
+                }
+            }
+            self.chosen[depth] = k;
+            self.resource_at[depth] = resource;
+
+            // Communication feasibility against already-bound neighbors.
+            let earlier =
+                &self.earlier[self.earlier_offsets[depth]..self.earlier_offsets[depth + 1]];
+            let mut ok = earlier
+                .iter()
+                .all(|&d| tables.comm.comm_ok(self.resource_at[d as usize], resource));
+
+            // Utilization of the one resource this assignment loads. A
+            // zero period admits no schedule: prune the assignment.
+            let mut pushed = None;
+            if let (true, Some(period)) = (ok, self.period_at[depth]) {
+                if period == Time::ZERO {
+                    ok = false;
+                } else {
+                    let demand = Demand {
+                        period,
+                        process,
+                        wcet: candidate.latency,
+                    };
+                    let list = &mut self.demands[resource.index()];
+                    let at = list.partition_point(|d| *d < demand);
+                    list.insert(at, demand);
+                    pushed = Some(at);
+                    ok = options
+                        .policy
+                        .accepts_demands(list.iter().map(|d| (d.wcet, d.period)));
+                }
+            }
+
+            if ok && self.backtrack(tables, depth + 1, stats) {
+                return true;
+            }
+
+            // Undo.
+            stats.backtracks += 1;
+            if let Some(at) = pushed {
+                self.demands[resource.index()].remove(at);
+            }
+            if let Some(device) = claimed {
+                self.held[device.index()] = None;
+            }
+        }
+        false
     }
-    sets.values().all(|s| policy.accepts(s))
+
+    /// Resets the per-activation state, keeping every buffer.
+    fn clear(&mut self) {
+        for &v in &self.order {
+            self.depth_of[v.index()] = UNPLACED;
+        }
+        for r in &self.resource_at {
+            if let Some(list) = self.demands.get_mut(r.index()) {
+                list.clear();
+            }
+        }
+        self.held.fill(None);
+        self.order.clear();
+        self.period_at.clear();
+        self.earlier_offsets.clear();
+        self.earlier.clear();
+        self.cursor.clear();
+        self.chosen.clear();
+        self.resource_at.clear();
+    }
 }
 
-/// Convenience wrapper: flattens the problem graph of `eca`, solves, and
-/// reports whether a feasible mode exists.
+/// Convenience wrapper: compiles the specification, solves `eca` on
+/// `allocation`, and reports whether a feasible mode exists.
 pub fn mode_is_feasible(
     spec: &SpecificationGraph,
     allocation: &ResourceAllocation,
     eca: &Selection,
     options: &BindOptions,
 ) -> bool {
-    let available = allocation.available_vertices(spec.architecture());
-    let comm = CommGraph::new(spec.architecture(), &available);
-    solve_mode(spec, allocation, &comm, eca, options)
+    let compiled = CompiledSpec::new(spec);
+    let available = compiled.available_vertices(allocation);
+    let comm = CommGraph::from_compiled(&compiled, &available);
+    solve_mode(&compiled, allocation, &comm, eca, options)
         .0
         .is_some()
 }
@@ -438,15 +586,26 @@ mod tests {
         ));
     }
 
+    /// Solves `eca` on `allocation` over every resource it makes
+    /// available.
+    fn solve(
+        spec: &SpecificationGraph,
+        allocation: &ResourceAllocation,
+        eca: &Selection,
+        options: &BindOptions,
+    ) -> (Option<ModeImplementation>, SolveStats) {
+        let compiled = CompiledSpec::new(spec);
+        let available = allocation.available_vertices(spec.architecture());
+        let comm = CommGraph::new(spec.architecture(), &available);
+        solve_mode(&compiled, allocation, &comm, eca, options)
+    }
+
     #[test]
     fn fpga_offload_makes_mode_feasible() {
         let (spec, _, with_fpga) = offload_spec();
-        let available = with_fpga.available_vertices(spec.architecture());
-        let comm = CommGraph::new(spec.architecture(), &available);
-        let (solved, stats) = solve_mode(
+        let (solved, stats) = solve(
             &spec,
             &with_fpga,
-            &comm,
             &Selection::new(),
             &BindOptions::default(),
         );
@@ -467,6 +626,47 @@ mod tests {
             .interface_by_name(Scope::Top, "FPGA")
             .unwrap();
         assert!(solved.mode.architecture.get(fpga).is_some());
+    }
+
+    #[test]
+    fn verification_rejects_bindings_onto_excluded_resources() {
+        // The offloaded mode binds the core to G1 and routes it over C1.
+        // Masking either one out of the resources the search may use must
+        // reject that binding in verification too, and leave no solution.
+        let (spec, _, with_fpga) = offload_spec();
+        let compiled = CompiledSpec::new(&spec);
+        let options = BindOptions::default();
+        let eca = Selection::new();
+        let activation = compiled.compile_activation(&eca).unwrap();
+        let allocated = compiled.available_vertices(&with_fpga);
+        let comm = CommGraph::from_compiled(&compiled, &allocated);
+        let mut kernel = BindKernel::new(&compiled, &with_fpga, &comm, &options);
+        let solved = kernel.solve(&eca).0.expect("offloaded mode is feasible");
+        assert!(kernel.verify(&activation, &solved));
+
+        let core = spec
+            .problem()
+            .graph()
+            .vertex_by_name(Scope::Top, "P_G1")
+            .unwrap();
+        let g1 = solved.binding.resource_for(&spec, core).unwrap();
+        let c1 = spec
+            .architecture()
+            .graph()
+            .vertex_by_name(Scope::Top, "C1")
+            .unwrap();
+        for masked in [g1, c1] {
+            let mut available = allocated.clone();
+            available.remove(&masked);
+            let comm = CommGraph::from_compiled(&compiled, &available);
+            let mut kernel = BindKernel::new(&compiled, &with_fpga, &comm, &options);
+            assert!(
+                !kernel.verify(&activation, &solved),
+                "a binding using masked {} must be rejected",
+                spec.architecture().resource_name(masked)
+            );
+            assert!(kernel.solve(&eca).0.is_none());
+        }
     }
 
     #[test]
@@ -511,15 +711,7 @@ mod tests {
         let m12 = spec.add_mapping(t1, r2, Time::from_ns(50)).unwrap();
         let m22 = spec.add_mapping(t2, r2, Time::from_ns(1)).unwrap();
         let alloc = ResourceAllocation::new().with_vertex(r1).with_vertex(r2);
-        let available = alloc.available_vertices(spec.architecture());
-        let comm = CommGraph::new(spec.architecture(), &available);
-        let (solved, stats) = solve_mode(
-            &spec,
-            &alloc,
-            &comm,
-            &Selection::new(),
-            &BindOptions::default(),
-        );
+        let (solved, stats) = solve(&spec, &alloc, &Selection::new(), &BindOptions::default());
         let solved = solved.expect("colocation on r2 is feasible");
         assert_eq!(solved.binding.mapping_for(t1), Some(m12));
         assert_eq!(solved.binding.mapping_for(t2), Some(m22));
@@ -550,9 +742,7 @@ mod tests {
             max_steps: 1,
             ..BindOptions::default()
         };
-        let available = with_fpga.available_vertices(spec.architecture());
-        let comm = CommGraph::new(spec.architecture(), &available);
-        let (_, stats) = solve_mode(&spec, &with_fpga, &comm, &Selection::new(), &options);
+        let (_, stats) = solve(&spec, &with_fpga, &Selection::new(), &options);
         assert!(stats.assignments <= 2);
     }
 }

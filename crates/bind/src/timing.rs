@@ -10,7 +10,7 @@
 
 use flexplore_hgraph::{FlatGraph, VertexId};
 use flexplore_sched::{SchedError, SchedPolicy, Task, TaskSet, Time};
-use flexplore_spec::{Binding, SpecificationGraph};
+use flexplore_spec::{Binding, CompiledActivation, SpecificationGraph};
 use std::collections::BTreeMap;
 
 /// Computes the *inherited period* of every vertex of a flattened problem
@@ -53,6 +53,50 @@ pub fn inherited_periods(
     periods
 }
 
+/// The timed processes of a bound mode, in flattened-vertex order: every
+/// non-negligible bound process with an inherited period (looked up with
+/// `period_of`), as `(process, resource, wcet, period)` — the WCET is the
+/// bound mapping's latency.
+fn timed_processes<'a>(
+    spec: &'a SpecificationGraph,
+    flat: &'a FlatGraph,
+    binding: &'a Binding,
+    period_of: impl Fn(VertexId) -> Option<Time> + 'a,
+) -> impl Iterator<Item = (VertexId, VertexId, Time, Time)> + 'a {
+    flat.vertices.iter().filter_map(move |&v| {
+        if spec.problem().is_negligible(v) {
+            return None;
+        }
+        let period = period_of(v)?;
+        let mapping = spec.mapping(binding.mapping_for(v)?);
+        Some((v, mapping.resource, mapping.latency, period))
+    })
+}
+
+/// Groups the timed processes by resource and applies `policy` to each
+/// resource's rate-monotonic demands. A zero period rejects the mode.
+fn timing_accepts(
+    spec: &SpecificationGraph,
+    flat: &FlatGraph,
+    binding: &Binding,
+    period_of: impl Fn(VertexId) -> Option<Time>,
+    policy: SchedPolicy,
+) -> bool {
+    let mut demands: BTreeMap<VertexId, Vec<(Time, Time)>> = BTreeMap::new();
+    for (_, resource, wcet, period) in timed_processes(spec, flat, binding, period_of) {
+        if period == Time::ZERO {
+            return false;
+        }
+        // Rate-monotonic and stable, exactly as `TaskSet::push` orders.
+        let list = demands.entry(resource).or_default();
+        let at = list.partition_point(|&(_, p)| p <= period);
+        list.insert(at, (wcet, period));
+    }
+    demands
+        .values()
+        .all(|list| policy.accepts_demands(list.iter().copied()))
+}
+
 /// Builds the per-resource periodic task sets induced by a bound mode:
 /// every non-negligible process with an inherited period becomes a task
 /// (WCET = the bound mapping's latency) on the resource it is bound to.
@@ -70,19 +114,10 @@ pub fn resource_task_sets(
 ) -> Result<BTreeMap<VertexId, TaskSet>, SchedError> {
     let periods = inherited_periods(spec, flat);
     let mut sets: BTreeMap<VertexId, TaskSet> = BTreeMap::new();
-    for &v in &flat.vertices {
-        if spec.problem().is_negligible(v) {
-            continue;
-        }
-        let Some(Some(period)) = periods.get(&v) else {
-            continue;
-        };
-        let Some(m) = binding.mapping_for(v) else {
-            continue;
-        };
-        let mapping = spec.mapping(m);
-        let task = Task::try_new(spec.problem().process_name(v), mapping.latency, *period)?;
-        sets.entry(mapping.resource).or_default().push(task);
+    let timed = timed_processes(spec, flat, binding, |v| periods.get(&v).copied().flatten());
+    for (v, resource, wcet, period) in timed {
+        let task = Task::try_new(spec.problem().process_name(v), wcet, period)?;
+        sets.entry(resource).or_default().push(task);
     }
     Ok(sets)
 }
@@ -90,6 +125,9 @@ pub fn resource_task_sets(
 /// Accepts or rejects a bound mode: every resource's task set must pass
 /// `policy`. A mode with a zero-period task is rejected outright (no
 /// schedule admits it).
+///
+/// Derives the inherited periods from `flat` itself; a caller holding the
+/// compiled activation uses [`activation_meets_timing`] instead.
 ///
 /// # Examples
 ///
@@ -102,10 +140,32 @@ pub fn mode_meets_timing(
     binding: &Binding,
     policy: SchedPolicy,
 ) -> bool {
-    match resource_task_sets(spec, flat, binding) {
-        Ok(sets) => sets.values().all(|set| policy.accepts(set)),
-        Err(_) => false,
-    }
+    let periods = inherited_periods(spec, flat);
+    timing_accepts(
+        spec,
+        flat,
+        binding,
+        |v| periods.get(&v).copied().flatten(),
+        policy,
+    )
+}
+
+/// [`mode_meets_timing`] over a compiled activation: its flattened graph
+/// and its dense inherited-period table, so no period fixed point runs.
+#[must_use]
+pub fn activation_meets_timing(
+    spec: &SpecificationGraph,
+    activation: &CompiledActivation,
+    binding: &Binding,
+    policy: SchedPolicy,
+) -> bool {
+    timing_accepts(
+        spec,
+        &activation.flat,
+        binding,
+        |v| activation.periods.get(v.index()).copied().flatten(),
+        policy,
+    )
 }
 
 #[cfg(test)]

@@ -89,7 +89,8 @@ pub mod phase {
     pub const ENUMERATE_ESTIMATE: &str = "enumerate.estimate";
     /// Sub-phase: feasibility estimate of one binding attempt.
     pub const BIND_ESTIMATE: &str = "bind.estimate";
-    /// Sub-phase: communication-graph construction per candidate.
+    /// Sub-phase: per-candidate binding tables (communication reach rows,
+    /// design index, candidate lists).
     pub const BIND_COMM: &str = "bind.comm";
     /// Sub-phase: the backtracking binding search itself.
     pub const BIND_SOLVE: &str = "bind.solve";

@@ -10,7 +10,7 @@
 //! * the hyperbolic bound of Bini & Buttazzo ([`hyperbolic_test`]), which is
 //!   strictly less pessimistic than Liu–Layland.
 
-use crate::task::TaskSet;
+use crate::task::{utilization, TaskSet};
 use crate::time::Time;
 
 /// The paper's utilization limit: 69 % (the asymptotic Liu–Layland bound,
@@ -78,7 +78,16 @@ pub fn liu_layland_bound(n: usize) -> f64 {
 /// verdict.
 #[must_use]
 pub fn liu_layland_test(set: &TaskSet) -> bool {
-    set.utilization() <= liu_layland_bound(set.len()) + 1e-12
+    liu_layland_demands(set.demands())
+}
+
+/// [`liu_layland_test`] over rate-monotonic `(wcet, period)` demands.
+pub(crate) fn liu_layland_demands<I>(demands: I) -> bool
+where
+    I: Iterator<Item = (Time, Time)> + Clone,
+{
+    let n = demands.clone().count();
+    total_utilization(demands) <= liu_layland_bound(n) + 1e-12
 }
 
 /// Hyperbolic bound (Bini & Buttazzo): the set is schedulable if
@@ -89,8 +98,19 @@ pub fn liu_layland_test(set: &TaskSet) -> bool {
 /// Like Liu–Layland it is sufficient but not necessary.
 #[must_use]
 pub fn hyperbolic_test(set: &TaskSet) -> bool {
-    let product: f64 = set.iter().map(|t| t.utilization() + 1.0).product();
+    hyperbolic_demands(set.demands())
+}
+
+/// [`hyperbolic_test`] over `(wcet, period)` demands.
+pub(crate) fn hyperbolic_demands(demands: impl Iterator<Item = (Time, Time)>) -> bool {
+    let product: f64 = demands.map(|(c, p)| utilization(c, p) + 1.0).product();
     product <= 2.0 + 1e-12
+}
+
+/// `Σ wcet_i / period_i`, summed in demand order (the order
+/// [`TaskSet::utilization`] sums in, so both agree bit for bit).
+fn total_utilization(demands: impl Iterator<Item = (Time, Time)>) -> f64 {
+    demands.map(|(c, p)| utilization(c, p)).sum()
 }
 
 /// Returns `true` if the task set's periods form a harmonic chain: each
@@ -131,23 +151,29 @@ pub fn is_harmonic(set: &TaskSet) -> bool {
 /// several timing-constrained applications share a resource.
 #[must_use]
 pub fn paper_limit_test(set: &TaskSet) -> bool {
+    paper_limit_demands(set.demands())
+}
+
+/// [`paper_limit_test`] over rate-monotonic `(wcet, period)` demands.
+pub(crate) fn paper_limit_demands<I>(demands: I) -> bool
+where
+    I: Iterator<Item = (Time, Time)> + Clone,
+{
     // Exact rational comparison: Σ c_i/p_i ≤ 69/100
     //   ⇔ Σ (c_i · 100 · Π_{j≠i} p_j) ≤ 69 · Π p_j
     // To avoid overflow with many tasks we fall back to f64 beyond 4 tasks;
     // the integer path keeps the paper's single-application checks exact.
-    let tasks = set.tasks();
-    if tasks.len() <= 4 {
-        let prod: u128 = tasks.iter().map(|t| t.period().as_ns() as u128).product();
+    if demands.clone().count() <= 4 {
+        let prod: u128 = demands.clone().map(|(_, p)| p.as_ns() as u128).product();
         if prod > 0 {
-            let lhs: u128 = tasks
-                .iter()
-                .map(|t| t.wcet().as_ns() as u128 * 100 * (prod / t.period().as_ns() as u128))
+            let lhs: u128 = demands
+                .map(|(c, p)| c.as_ns() as u128 * 100 * (prod / p.as_ns() as u128))
                 .sum();
             return lhs <= PAPER_UTILIZATION_LIMIT_PERCENT as u128 * prod;
         }
         return true;
     }
-    set.utilization() <= PAPER_UTILIZATION_LIMIT + 1e-12
+    total_utilization(demands) <= PAPER_UTILIZATION_LIMIT + 1e-12
 }
 
 #[cfg(test)]

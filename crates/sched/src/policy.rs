@@ -6,9 +6,10 @@
 //! answer the same question so that ablation experiments can swap the test
 //! without touching the solver.
 
-use crate::bounds::{hyperbolic_test, liu_layland_test, paper_limit_test};
-use crate::rta::rta_schedulable;
+use crate::bounds::{hyperbolic_demands, liu_layland_demands, paper_limit_demands};
+use crate::rta::rta_demands;
 use crate::task::TaskSet;
+use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -49,11 +50,42 @@ impl SchedPolicy {
     /// ```
     #[must_use]
     pub fn accepts(&self, set: &TaskSet) -> bool {
+        self.accepts_demands(set.demands())
+    }
+
+    /// Returns `true` if the periodic demands `(wcet, period)` on one
+    /// resource are accepted as schedulable by this policy. Demands come
+    /// in rate-monotonic order (shortest period first, the priority order
+    /// of a [`TaskSet`]), and every period is positive.
+    ///
+    /// Every policy's arithmetic lives here: [`accepts`](Self::accepts)
+    /// and the set-level tests (`paper_limit_test`, `liu_layland_test`,
+    /// `hyperbolic_test`, `rta_schedulable`) delegate to it, and callers
+    /// that keep their own demand lists (the binding solver) evaluate
+    /// them without building named tasks.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use flexplore_sched::{SchedPolicy, Time};
+    ///
+    /// let ns = Time::from_ns;
+    /// // The paper's game console on µP2: 95 + 90 within 240 ns.
+    /// let demands = [(ns(95), ns(240)), (ns(90), ns(240))];
+    /// assert!(!SchedPolicy::PaperLimit69.accepts_demands(demands));
+    /// ```
+    #[must_use]
+    pub fn accepts_demands<I>(&self, demands: I) -> bool
+    where
+        I: IntoIterator<Item = (Time, Time)>,
+        I::IntoIter: Clone,
+    {
+        let demands = demands.into_iter();
         match self {
-            SchedPolicy::PaperLimit69 => paper_limit_test(set),
-            SchedPolicy::LiuLayland => liu_layland_test(set),
-            SchedPolicy::Hyperbolic => hyperbolic_test(set),
-            SchedPolicy::ResponseTime => rta_schedulable(set),
+            SchedPolicy::PaperLimit69 => paper_limit_demands(demands),
+            SchedPolicy::LiuLayland => liu_layland_demands(demands),
+            SchedPolicy::Hyperbolic => hyperbolic_demands(demands),
+            SchedPolicy::ResponseTime => rta_demands(demands),
         }
     }
 

@@ -25,16 +25,21 @@ use crate::time::Time;
 /// Panics if `index` is out of bounds.
 #[must_use]
 pub fn response_time(set: &TaskSet, index: usize) -> Option<Time> {
-    let tasks = set.tasks();
-    let task = &tasks[index];
-    let mut r = task.wcet();
+    let task = &set.tasks()[index];
+    demand_response_time(set.demands().take(index), task.wcet(), task.period())
+}
+
+/// The response-time fixed point of a demand `(wcet, period)` below the
+/// `higher`-priority demands.
+fn demand_response_time<I>(higher: I, wcet: Time, period: Time) -> Option<Time>
+where
+    I: Iterator<Item = (Time, Time)> + Clone,
+{
+    let mut r = wcet;
     loop {
-        let interference: Time = tasks[..index]
-            .iter()
-            .map(|hp| hp.wcet() * r.div_ceil(hp.period()))
-            .sum();
-        let next = task.wcet() + interference;
-        if next > task.period() {
+        let interference: Time = higher.clone().map(|(c, t)| c * r.div_ceil(t)).sum();
+        let next = wcet + interference;
+        if next > period {
             return None; // deadline miss; fixed point (if any) is past T_i
         }
         if next == r {
@@ -62,7 +67,18 @@ pub fn response_time(set: &TaskSet, index: usize) -> Option<Time> {
 /// ```
 #[must_use]
 pub fn rta_schedulable(set: &TaskSet) -> bool {
-    (0..set.len()).all(|i| response_time(set, i).is_some())
+    rta_demands(set.demands())
+}
+
+/// [`rta_schedulable`] over rate-monotonic `(wcet, period)` demands.
+pub(crate) fn rta_demands<I>(demands: I) -> bool
+where
+    I: Iterator<Item = (Time, Time)> + Clone,
+{
+    demands
+        .clone()
+        .enumerate()
+        .all(|(i, (c, p))| demand_response_time(demands.clone().take(i), c, p).is_some())
 }
 
 #[cfg(test)]

@@ -105,8 +105,13 @@ impl Task {
     /// Returns the utilization `wcet / period` of this task.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        self.wcet.as_ns() as f64 / self.period.as_ns() as f64
+        utilization(self.wcet, self.period)
     }
+}
+
+/// The utilization `wcet / period` of one periodic demand.
+pub(crate) fn utilization(wcet: Time, period: Time) -> f64 {
+    wcet.as_ns() as f64 / period.as_ns() as f64
 }
 
 impl fmt::Display for Task {
@@ -167,6 +172,12 @@ impl TaskSet {
     /// Iterates over the tasks in rate-monotonic order.
     pub fn iter(&self) -> std::slice::Iter<'_, Task> {
         self.tasks.iter()
+    }
+
+    /// The `(wcet, period)` demands of the tasks, in rate-monotonic order:
+    /// the input of [`SchedPolicy::accepts_demands`](crate::SchedPolicy::accepts_demands).
+    pub(crate) fn demands(&self) -> impl Iterator<Item = (Time, Time)> + Clone + '_ {
+        self.tasks.iter().map(|t| (t.wcet, t.period))
     }
 }
 

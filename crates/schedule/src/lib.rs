@@ -19,16 +19,17 @@
 //! use flexplore_models::set_top_box;
 //! use flexplore_schedule::{schedule_mode, CommDelay};
 //! use flexplore_hgraph::Selection;
-//! use flexplore_spec::ResourceAllocation;
+//! use flexplore_spec::{CompiledSpec, ResourceAllocation};
 //!
 //! let stb = set_top_box();
+//! let compiled = CompiledSpec::new(&stb.spec);
 //! let allocation = ResourceAllocation::new().with_vertex(stb.resource("uP1"));
-//! let available = allocation.available_vertices(stb.spec.architecture());
-//! let comm = CommGraph::new(stb.spec.architecture(), &available);
+//! let available = compiled.available_vertices(&allocation);
+//! let comm = CommGraph::from_compiled(&compiled, &available);
 //! let eca = Selection::new()
 //!     .with(stb.interfaces["I_app"], stb.cluster("gamma_G"))
 //!     .with(stb.interfaces["I_G"], stb.cluster("gamma_G1"));
-//! let (mode, _) = solve_mode(&stb.spec, &allocation, &comm, &eca, &BindOptions::default());
+//! let (mode, _) = solve_mode(&compiled, &allocation, &comm, &eca, &BindOptions::default());
 //! let mode = mode.expect("feasible on uP1");
 //!
 //! let schedule = schedule_mode(&stb.spec, &eca, &mode.binding, CommDelay::Zero).unwrap();

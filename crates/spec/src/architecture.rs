@@ -9,12 +9,13 @@
 //! exploration.
 
 use crate::attrs::{Cost, ResourceAttrs, ResourceKind};
+use crate::reach::ReachRows;
 use flexplore_hgraph::{
     ClusterId, Endpoint, HgraphError, HierarchicalGraph, InterfaceId, PortDirection, PortId,
     PortTarget, Scope, Selection, VertexId,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// A physical interconnection between two resources.
 ///
@@ -27,6 +28,33 @@ pub struct Link;
 impl std::fmt::Display for Link {
     fn fmt(&self, _f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         Ok(())
+    }
+}
+
+/// The architecture graph under one mode's device configuration,
+/// restricted to the allocated resources (see
+/// [`SpecificationGraph::arch_view`](crate::SpecificationGraph::arch_view)):
+/// the active resources and their communication reachability, answered
+/// without re-flattening.
+#[derive(Debug, Clone)]
+pub struct ArchView {
+    reach: ReachRows,
+}
+
+impl ArchView {
+    /// Returns `true` if `v` is active: allocated and present under the
+    /// view's configuration.
+    #[must_use]
+    pub fn is_active(&self, v: VertexId) -> bool {
+        self.reach.contains(v)
+    }
+
+    /// Returns `true` if data can travel from `from` to `to`: equal
+    /// resources, or active resources joined by a path whose intermediate
+    /// vertices are all active communication resources (binding rule 3).
+    #[must_use]
+    pub fn reachable(&self, from: VertexId, to: VertexId) -> bool {
+        self.reach.reaches(from, to)
     }
 }
 
@@ -256,28 +284,6 @@ impl ArchitectureGraph {
             .filter(|&v| self.kind(v) == ResourceKind::Communication)
     }
 
-    /// Undirected adjacency over the *flattened* architecture under
-    /// `selection`, restricted to `allocated` vertices.
-    ///
-    /// # Errors
-    ///
-    /// See [`HierarchicalGraph::flatten`].
-    pub fn adjacency(
-        &self,
-        selection: &Selection,
-        allocated: &BTreeSet<VertexId>,
-    ) -> Result<BTreeMap<VertexId, Vec<VertexId>>, HgraphError> {
-        let flat = self.graph.flatten(selection)?;
-        let mut adj: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
-        for e in &flat.edges {
-            if allocated.contains(&e.from) && allocated.contains(&e.to) {
-                adj.entry(e.from).or_default().push(e.to);
-                adj.entry(e.to).or_default().push(e.from);
-            }
-        }
-        Ok(adj)
-    }
-
     /// Decides whether data can travel between two allocated functional
     /// resources: `true` if `from == to`, or if an undirected path exists
     /// whose **intermediate** vertices are all allocated communication
@@ -285,7 +291,10 @@ impl ArchitectureGraph {
     ///
     /// This generalizes binding-feasibility rule 3 of the paper and
     /// reproduces its Fig. 2 example: with no bus between the ASIC and the
-    /// FPGA, processes bound to them cannot communicate.
+    /// FPGA, processes bound to them cannot communicate. Callers with many
+    /// queries under one configuration build its
+    /// [`arch_view`](crate::SpecificationGraph::arch_view) once and ask it
+    /// instead.
     ///
     /// # Errors
     ///
@@ -303,24 +312,32 @@ impl ArchitectureGraph {
         if !allocated.contains(&from) || !allocated.contains(&to) {
             return Ok(false);
         }
-        let adj = self.adjacency(selection, allocated)?;
-        let mut seen = BTreeSet::from([from]);
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            let Some(neighbors) = adj.get(&v) else {
-                continue;
-            };
-            for &n in neighbors {
-                if n == to {
-                    return Ok(true);
-                }
-                // Only communication resources forward traffic.
-                if self.kind(n) == ResourceKind::Communication && seen.insert(n) {
-                    queue.push_back(n);
-                }
-            }
-        }
-        Ok(false)
+        Ok(self.view(selection, allocated)?.reachable(from, to))
+    }
+
+    /// The architecture as one mode sees it: flattened once under
+    /// `selection`, its active resources (allocated **and** present under
+    /// the selection) and their communication reachability.
+    ///
+    /// # Errors
+    ///
+    /// See [`HierarchicalGraph::flatten`].
+    pub(crate) fn view(
+        &self,
+        selection: &Selection,
+        allocated: &BTreeSet<VertexId>,
+    ) -> Result<ArchView, HgraphError> {
+        let flat = self.graph.flatten(selection)?;
+        let active = flat
+            .vertices
+            .iter()
+            .copied()
+            .filter(|v| allocated.contains(v));
+        let links = flat.edges.iter().map(|e| (e.from, e.to));
+        let reach = ReachRows::new(self.graph.vertex_count(), active, links, |v| {
+            self.kind(v) == ResourceKind::Communication
+        });
+        Ok(ArchView { reach })
     }
 
     /// Validates the structural invariants of the graph.

@@ -16,9 +16,10 @@
 //! them, and the property tests assert that everything constructed passes
 //! verification.
 
+use crate::architecture::ArchView;
 use crate::error::BindingViolation;
 use crate::spec::{Mapping, MappingId, Mode, SpecificationGraph};
-use flexplore_hgraph::VertexId;
+use flexplore_hgraph::{FlatGraph, HgraphError, Selection, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -103,6 +104,11 @@ impl SpecificationGraph {
     /// present in the flattened architecture under the mode's configuration
     /// (a reconfigurable device exposes only its selected design).
     ///
+    /// Flattens the problem graph, builds the mode's
+    /// [`arch_view`](Self::arch_view) and applies
+    /// [`check_binding_rules`](Self::check_binding_rules); callers checking
+    /// many bindings reuse the flattened graph and the view.
+    ///
     /// # Errors
     ///
     /// Returns the first violated requirement.
@@ -113,17 +119,41 @@ impl SpecificationGraph {
         binding: &Binding,
     ) -> Result<(), BindingViolation> {
         let problem_flat = self.problem().flatten(&mode.problem)?;
-        let arch_selection = self.complete_arch_selection(&mode.architecture);
-        let arch_flat = self.architecture().graph().flatten(&arch_selection)?;
+        let view = self.arch_view(&mode.architecture, allocated)?;
+        self.check_binding_rules(&problem_flat, &view, binding)
+    }
 
-        // A resource is active in this mode iff allocated and configured.
-        let active_resources: BTreeSet<VertexId> = arch_flat
-            .vertices
-            .iter()
-            .copied()
-            .filter(|v| allocated.contains(v))
-            .collect();
+    /// The architecture view of a mode configuration: the architecture
+    /// flattened under `configuration` (completed with
+    /// [`complete_arch_selection`](Self::complete_arch_selection)) and
+    /// restricted to `allocated`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates flattening errors for inconsistent configurations.
+    pub fn arch_view(
+        &self,
+        configuration: &Selection,
+        allocated: &BTreeSet<VertexId>,
+    ) -> Result<ArchView, HgraphError> {
+        self.architecture()
+            .view(&self.complete_arch_selection(configuration), allocated)
+    }
 
+    /// Checks requirements 1–3 for the binding of one mode, given its
+    /// flattened problem graph and its [`arch_view`](Self::arch_view).
+    /// Reports the same first violation as
+    /// [`check_binding`](Self::check_binding).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated requirement.
+    pub fn check_binding_rules(
+        &self,
+        problem_flat: &FlatGraph,
+        view: &ArchView,
+        binding: &Binding,
+    ) -> Result<(), BindingViolation> {
         // Requirement 2 (and entry sanity): every activated leaf bound
         // exactly once through one of its own mapping edges.
         for &process in &problem_flat.vertices {
@@ -138,7 +168,7 @@ impl SpecificationGraph {
                 });
             }
             // Requirement 1: both endpoints active.
-            if !active_resources.contains(&mapping.resource) {
+            if !view.is_active(mapping.resource) {
                 return Err(BindingViolation::InactiveEndpoint {
                     mapping: m,
                     problem_side: false,
@@ -164,16 +194,7 @@ impl SpecificationGraph {
             let to_res = binding
                 .resource_for(self, e.to)
                 .expect("checked above: all active processes bound");
-            if from_res == to_res {
-                continue;
-            }
-            let reachable = self.architecture().comm_reachable(
-                &arch_selection,
-                &active_resources,
-                from_res,
-                to_res,
-            )?;
-            if !reachable {
+            if !view.reachable(from_res, to_res) {
                 return Err(BindingViolation::NoCommunicationPath {
                     edge: e.id,
                     from_resource: from_res,

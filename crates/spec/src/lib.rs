@@ -66,10 +66,11 @@ mod error;
 mod feasibility;
 mod fingerprint;
 mod problem;
+mod reach;
 mod spec;
 mod unitmask;
 
-pub use architecture::{ArchitectureGraph, Design, Link};
+pub use architecture::{ArchView, ArchitectureGraph, Design, Link};
 pub use attrs::{Cost, ProcessAttrs, ResourceAttrs, ResourceKind};
 pub use compiled::{
     allocatable_units, allocation_from_units, CompiledActivation, CompiledSpec, Unit, UnitMasks,
@@ -78,5 +79,6 @@ pub use error::{BindingViolation, SpecError};
 pub use feasibility::Binding;
 pub use fingerprint::{fingerprint, Fingerprint, SpecSignature, UnitSig};
 pub use problem::{AlternativeStage, DataDep, ProblemGraph};
+pub use reach::ReachRows;
 pub use spec::{Mapping, MappingId, Mode, ResourceAllocation, SpecStatistics, SpecificationGraph};
 pub use unitmask::{UnitMask, MAX_UNITS, UNIT_MASK_WORDS};

@@ -23,7 +23,7 @@
 //! ```
 
 use flexplore::bind::{solve_mode, BindOptions, CommGraph};
-use flexplore::{set_top_box, ResourceAllocation, Selection};
+use flexplore::{set_top_box, CompiledSpec, ResourceAllocation, Selection};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stb = set_top_box();
@@ -82,13 +82,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
+    let compiled = CompiledSpec::new(spec);
     let available = allocation.available_vertices(spec.architecture());
-    let comm = CommGraph::new(spec.architecture(), &available);
+    let comm = CommGraph::from_compiled(&compiled, &available);
     let options = BindOptions::default();
     let mut previous_config: Option<String> = None;
 
     for (label, eca) in &timeline {
-        let (solved, _) = solve_mode(spec, &allocation, &comm, eca, &options);
+        let (solved, _) = solve_mode(&compiled, &allocation, &comm, eca, &options);
         let Some(mode) = solved else {
             println!("{label}\n  -> INFEASIBLE on this platform");
             continue;
@@ -145,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let impossible = Selection::new()
         .with(app, stb.cluster("gamma_G"))
         .with(i_g, stb.cluster("gamma_G2"));
-    let (solved, _) = solve_mode(spec, &allocation, &comm, &impossible, &options);
+    let (solved, _) = solve_mode(&compiled, &allocation, &comm, &impossible, &options);
     println!(
         "\nt5: game class 2 -> {}",
         if solved.is_none() {

@@ -15,7 +15,7 @@
 
 use flexplore::bind::{solve_mode, BindOptions, CommGraph};
 use flexplore::models::dual_slot_fpga;
-use flexplore::{explore, ExploreOptions, ResourceAllocation, Selection};
+use flexplore::{explore, CompiledSpec, ExploreOptions, ResourceAllocation, Selection};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = dual_slot_fpga();
@@ -48,15 +48,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_vertex(model.resources["BUS"])
         .with_cluster(model.designs["FA"])
         .with_cluster(model.designs["CA"]);
+    let compiled = CompiledSpec::new(spec);
     let available = allocation.available_vertices(spec.architecture());
-    let comm = CommGraph::new(spec.architecture(), &available);
+    let comm = CommGraph::from_compiled(&compiled, &available);
     let eca = Selection::new()
         .with(model.interfaces["I_filter"], model.clusters["filter_acc"])
         .with(
             model.interfaces["I_compress"],
             model.clusters["compress_acc"],
         );
-    let (mode, _) = solve_mode(spec, &allocation, &comm, &eca, &BindOptions::default());
+    let (mode, _) = solve_mode(&compiled, &allocation, &comm, &eca, &BindOptions::default());
     let mode = mode.expect("doubly-accelerated mode is feasible");
 
     println!("\ndoubly-accelerated mode (both slots resident simultaneously):");
