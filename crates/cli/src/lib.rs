@@ -127,10 +127,12 @@ COMMANDS:
                   --analysis off disables the static lattice-fact
                   pruning of the lattice search (on by default;
                   candidates and fronts are byte-identical either way).
-                  --cache-dir persists the run's front, estimate memo and
-                  bind outcomes keyed by a content hash of the spec; a
-                  later run warm-starts from them, re-exploring only the
-                  sublattice an edit touched. Fronts and counters stay
+                  --cache-dir persists the run's front, candidate list
+                  and bind outcomes keyed by a content hash of the spec;
+                  a later run warm-starts from them: a latency edit
+                  replays the candidate list, a cost edit re-walks the
+                  lattice, and either way only the bind outcomes the edit
+                  touched are recomputed. Fronts and counters stay
                   byte-identical to a cold run; corrupt or
                   version-mismatched cache files degrade to a cold run
                   with a warning. --json emits {fingerprint, front}

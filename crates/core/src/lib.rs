@@ -82,7 +82,7 @@ pub use flexplore_explore::{
     explore_upgrades, explore_weighted, k_resilient_flexibility, max_flexibility_under_budget,
     min_cost_for_flexibility, moea_explore, options_hash, possible_resource_allocations,
     remaining_flexibility, resolve_threads, spec_delta, AllocationOptions, CacheEntry,
-    CachedCandidate, DesignPoint, ExploreCache, ExploreOptions, ExploreResult, ExploreStats,
+    CandidateRow, DesignPoint, ExploreCache, ExploreOptions, ExploreResult, ExploreStats,
     MoeaOptions, ParetoFront, ResilienceReport, ResilientDesignPoint, ShardedMemo, SpecDelta,
     WarmMode, WarmOutcome, WarmSummary, CACHE_FORMAT,
 };

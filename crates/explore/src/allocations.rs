@@ -11,11 +11,14 @@
 //! number of communication resources."*
 
 use crate::error::ExploreError;
-use flexplore_flex::FlexibilityEstimate;
-use flexplore_lint::{compute_facts_obs, AnalysisFacts};
+use flexplore_flex::{Flexibility, FlexibilityEstimate};
+use flexplore_lint::compute_facts_obs;
 use flexplore_obs::{phase, ObsSink};
-use flexplore_spec::{CompiledSpec, Cost, ResourceAllocation, UnitMask, MAX_UNITS};
+use flexplore_spec::{
+    allocation_from_units, CompiledSpec, Cost, ResourceAllocation, UnitMask, MAX_UNITS,
+};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 pub use flexplore_spec::Unit;
 
@@ -124,14 +127,14 @@ pub struct AllocationStats {
     /// its explored canonical representative (0 without analysis).
     pub symmetry_orbit_expansions: u64,
     /// Warm-start artifacts replayed from an exploration cache instead of
-    /// recomputed: seeded memo entries actually hit, cached bind outcomes
-    /// reused, candidates replayed wholesale. Deterministic at any thread
-    /// count (hits are tallied at sequence-order merge time); 0 on cold
-    /// runs. Published through the obs `warmstart` section, *not* the
-    /// deterministic counter section — see `flexplore_obs::Warmstart`.
+    /// recomputed: cached bind outcomes reused, plus the candidate rows
+    /// when the enumeration was replayed wholesale. Deterministic at any
+    /// thread count (bind hits are tallied at sequence-order merge time);
+    /// 0 on cold runs. Published through the obs `warmstart` section, *not*
+    /// the deterministic counter section — see `flexplore_obs::Warmstart`.
     pub warm_hits: u64,
-    /// Cached warm-start entries discarded because the spec delta touched
-    /// their submask (0 on cold runs).
+    /// Cached bind outcomes discarded because the spec delta touched
+    /// their candidate's units (0 on cold runs).
     pub warm_invalidated: u64,
     /// Units whose content signature changed relative to the cached spec
     /// (0 on cold runs).
@@ -139,6 +142,22 @@ pub struct AllocationStats {
 }
 
 pub use flexplore_spec::allocatable_units;
+
+/// One possible resource allocation as EXPLORE carries it from the lattice
+/// walk to the cache file: its units, its cost and its estimated
+/// flexibility — the three facts the cost-ordered bind loop needs until it
+/// decides to implement the candidate. The allocation itself is rebuilt
+/// from the mask ([`allocation_from_units`] over [`allocatable_units`])
+/// only for the candidates that reach the binding solver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CandidateRow {
+    /// Allocated-unit mask in [`allocatable_units`] order.
+    pub mask: UnitMask,
+    /// Allocation cost (the first objective).
+    pub cost: Cost,
+    /// Optimistic flexibility estimate (upper bound on `f_impl`).
+    pub value: Flexibility,
+}
 
 /// Enumerates the possible resource allocations of the compiled
 /// specification, sorted by increasing cost (ties broken towards higher
@@ -162,41 +181,36 @@ pub fn possible_resource_allocations(
     options: &AllocationOptions,
     obs: &ObsSink,
 ) -> Result<(Vec<AllocationCandidate>, AllocationStats), ExploreError> {
-    let out = enumerate(compiled, options, obs, None, false)?;
-    Ok((out.candidates, out.stats))
+    let out = enumerate(compiled, options, obs)?;
+    let units = allocatable_units(compiled.spec());
+    let candidates = out
+        .rows
+        .iter()
+        .zip(out.estimates)
+        .map(|(row, estimate)| AllocationCandidate {
+            allocation: allocation_from_units(&units, row.mask),
+            cost: row.cost,
+            estimate: Arc::unwrap_or_clone(estimate),
+        })
+        .collect();
+    Ok((candidates, out.stats))
 }
 
-/// Estimate-memo entries to pre-seed a warm enumeration with, keyed in
-/// **original unit order** (the cache's coordinate system; the lattice
-/// search translates them into its cost-sorted DFS order on entry).
-#[derive(Debug, Default)]
-pub(crate) struct WarmSeed {
-    /// `(relevant submask, estimate)` pairs surviving delta invalidation.
-    pub memo: Vec<(UnitMask, FlexibilityEstimate)>,
-}
-
-/// Everything one enumeration produced, in the shape the warm-start layer
-/// consumes: the candidate list plus each candidate's unit mask (original
-/// unit order), and — when capture was requested — the estimate memo
-/// translated back into original unit order.
+/// Everything one enumeration produced: the cost-sorted candidate rows,
+/// each row's full estimate (a handle shared by every row with the same
+/// estimate-relevant units), and the counters.
 #[derive(Debug)]
 pub(crate) struct EnumerationOutput {
-    /// Cost-sorted possible resource allocations (as the public API).
-    pub candidates: Vec<AllocationCandidate>,
-    /// Per-candidate unit mask, parallel to `candidates`.
-    pub masks: Vec<UnitMask>,
+    /// Cost-sorted possible resource allocations.
+    pub rows: Vec<CandidateRow>,
+    /// Per-row flexibility estimate, parallel to `rows`.
+    pub estimates: Vec<Arc<FlexibilityEstimate>>,
     /// Enumeration counters.
     pub stats: AllocationStats,
-    /// Captured estimate memo (empty unless capture was requested).
-    pub memo: Vec<(UnitMask, FlexibilityEstimate)>,
-    /// The analysis facts the walk used (present only when capture was
-    /// requested and the analysis ran).
-    pub facts: Option<AnalysisFacts>,
 }
 
-/// [`possible_resource_allocations`] extended with the warm-start hooks:
-/// an optional pre-seeded estimate memo and capture of the artifacts the
-/// exploration cache persists.
+/// The enumeration behind [`possible_resource_allocations`], before any
+/// allocation is materialized.
 ///
 /// # Errors
 ///
@@ -205,8 +219,6 @@ pub(crate) fn enumerate(
     compiled: &CompiledSpec<'_>,
     options: &AllocationOptions,
     obs: &ObsSink,
-    seed: Option<&WarmSeed>,
-    capture: bool,
 ) -> Result<EnumerationOutput, ExploreError> {
     let units = allocatable_units(compiled.spec());
     if units.len() > MAX_UNITS {
@@ -229,12 +241,13 @@ pub(crate) fn enumerate(
     } else {
         None
     };
-    let mut out =
-        crate::lattice::bnb_scan(compiled, units, options, facts.as_ref(), obs, seed, capture);
-    if capture {
-        out.facts = facts;
-    }
-    Ok(out)
+    Ok(crate::lattice::bnb_scan(
+        compiled,
+        units,
+        options,
+        facts.as_ref(),
+        obs,
+    ))
 }
 
 #[cfg(test)]

@@ -31,15 +31,14 @@
 //! [`ExploreStats::speculative_waste`] depend on it.
 
 use crate::allocations::{
-    enumerate, AllocationCandidate, AllocationOptions, AllocationStats, EnumerationOutput, WarmSeed,
+    allocatable_units, enumerate, AllocationOptions, AllocationStats, CandidateRow,
 };
 use crate::error::ExploreError;
 use crate::parallel::{resolve_threads, run_stealing, SPECULATION_DEPTH};
 use crate::pareto::{DesignPoint, ParetoFront};
 use flexplore_bind::{implement_allocation, BindingBatch, ImplementOptions, Implementation};
-use flexplore_flex::FlexibilityEstimate;
 use flexplore_obs::{phase, ObsSink};
-use flexplore_spec::{CompiledSpec, SpecificationGraph, UnitMask};
+use flexplore_spec::{allocation_from_units, CompiledSpec, SpecificationGraph, UnitMask};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -179,67 +178,34 @@ pub fn explore_compiled_obs(
     options: &ExploreOptions,
     obs: &ObsSink,
 ) -> Result<ExploreResult, ExploreError> {
-    explore_inner(compiled, options, obs, WarmInput::default(), false).map(|(result, _)| result)
+    explore_inner(compiled, options, obs, None, &HashMap::new(), false).map(|(result, _)| result)
 }
 
-/// Warm-start inputs threaded into one exploration run. The default value
-/// is a cold run; the `warmstart` module constructs the warmer variants
-/// from a cache entry and the spec delta.
-#[derive(Debug, Default)]
-pub(crate) struct WarmInput {
-    /// Estimate-memo seed for the enumerator (the *seeded* level).
-    pub seed: Option<WarmSeed>,
-    /// Full enumeration replay (the *replay* level skips the lattice walk
-    /// entirely; sound only when no unit's enumeration signature changed).
-    pub replay: Option<ReplayEnumeration>,
-    /// Cached per-candidate bind outcomes, keyed by candidate unit mask in
-    /// original unit order. `None` records "attempted, infeasible".
-    pub binds: HashMap<UnitMask, Option<Implementation>>,
-}
-
-/// A cached enumeration replayed wholesale: candidates (cost-sorted, as
-/// the enumerator emits them), their unit masks, and the cold run's
-/// enumeration counters.
-///
-/// Replayed candidates carry an *empty* allocation: materializing a
-/// [`flexplore_spec::ResourceAllocation`] per candidate costs more than the
-/// whole pruning scan, and the estimate bound skips almost all of them
-/// before the allocation is ever needed. The unit table travels alongside
-/// so [`explore_inner`] can rebuild an allocation from its mask at the few
-/// solver call sites that survive.
-#[derive(Debug)]
-pub(crate) struct ReplayEnumeration {
-    /// Cost-sorted candidate list (allocations empty; see above).
-    pub candidates: Vec<AllocationCandidate>,
-    /// Per-candidate unit mask, parallel to `candidates`.
-    pub masks: Vec<UnitMask>,
-    /// The unit universe the masks index, for lazy allocation rebuilds.
-    pub units: Vec<flexplore_spec::Unit>,
-    /// The cold enumeration counters (replayed verbatim — the enumeration
-    /// is deterministic, so these are what a fresh walk would produce).
-    pub stats: AllocationStats,
-}
-
-/// The artifacts one exploration run hands the cache for persisting.
+/// What one exploration run hands the cache for persisting.
 #[derive(Debug)]
 pub(crate) struct ExploreCapture {
-    /// Per-candidate `(mask, cost, estimate)` rows in enumeration (cost)
-    /// order — enough to replay the enumeration without re-walking the
-    /// lattice (the allocation itself is rebuilt from the mask).
-    pub candidates: Vec<(UnitMask, flexplore_spec::Cost, FlexibilityEstimate)>,
-    /// Estimate memo in original unit order (empty for replayed runs).
-    pub memo: Vec<(UnitMask, FlexibilityEstimate)>,
-    /// The analysis facts the enumeration used, if any.
-    pub facts: Option<flexplore_lint::AnalysisFacts>,
+    /// The candidate rows in enumeration (cost) order.
+    pub candidates: Vec<CandidateRow>,
     /// Bind outcome per implement attempt, in attempt order.
     pub binds: Vec<(UnitMask, Option<Implementation>)>,
 }
 
-/// [`explore_compiled_obs`] extended with the warm-start hooks: replayed
-/// or memo-seeded enumeration, a cached bind-outcome table consulted
-/// before the binding solver, and capture of the artifacts the
-/// exploration cache persists. With a default [`WarmInput`] and capture
-/// off this *is* the cold path — same work, same counters.
+/// [`explore_compiled_obs`] extended with the warm-start hooks, which the
+/// `warmstart` module fills from a cache entry and the spec delta:
+///
+/// * `replay` — cached candidate rows and enumeration counters, used
+///   instead of walking the lattice (the *replay* level; sound only when
+///   no unit's enumeration signature changed, because the enumeration is
+///   deterministic);
+/// * `cached_binds` — bind outcomes keyed by candidate unit mask,
+///   consulted before the binding solver (`None` records "attempted,
+///   infeasible");
+/// * `capture` — hand back what the exploration cache persists.
+///
+/// With no replay, no cached binds and capture off this *is* the cold path
+/// — same work, same counters. Walked or replayed, the rows go through the
+/// same bind loop: the bound is a row's estimate value, and an allocation
+/// is rebuilt from a row's mask only when the solver runs on it.
 ///
 /// Determinism: cached bind outcomes are a pure function of the candidate
 /// mask, so replaying them changes which attempts pay solver time, never
@@ -250,44 +216,25 @@ pub(crate) fn explore_inner(
     compiled: &CompiledSpec<'_>,
     options: &ExploreOptions,
     obs: &ObsSink,
-    warm: WarmInput,
+    replay: Option<(Vec<CandidateRow>, AllocationStats)>,
+    cached_binds: &HashMap<UnitMask, Option<Implementation>>,
     capture: bool,
 ) -> Result<(ExploreResult, Option<ExploreCapture>), ExploreError> {
     let timer = obs.start();
-    let mut lazy_units: Option<Vec<flexplore_spec::Unit>> = None;
-    let enumeration = match warm.replay {
-        Some(replay) => {
-            lazy_units = Some(replay.units);
-            EnumerationOutput {
-                candidates: replay.candidates,
-                masks: replay.masks,
-                stats: replay.stats,
-                memo: Vec::new(),
-                facts: None,
-            }
+    let (rows, alloc_stats) = match replay {
+        Some(replay) => replay,
+        None => {
+            let out = enumerate(compiled, &options.allocation, obs)?;
+            (out.rows, out.stats)
         }
-        None => enumerate(
-            compiled,
-            &options.allocation,
-            obs,
-            warm.seed.as_ref(),
-            capture,
-        )?,
     };
     obs.finish(phase::ENUMERATE, timer);
-    let EnumerationOutput {
-        candidates,
-        masks,
-        stats: alloc_stats,
-        memo,
-        facts,
-    } = enumeration;
+    let units = allocatable_units(compiled.spec());
     let mut stats = ExploreStats {
         vertex_set_size: compiled.spec().vertex_set_size(),
         allocations: alloc_stats,
         ..ExploreStats::default()
     };
-    let warm_binds = &warm.binds;
     let mut bind_hits: u64 = 0;
     let mut bind_out: Vec<(UnitMask, Option<Implementation>)> = Vec::new();
     let mut front = ParetoFront::new();
@@ -296,31 +243,28 @@ pub(crate) fn explore_inner(
     // speculating, share it across workers).
     let batch = BindingBatch::new();
     bind_merge(
-        candidates.len(),
+        rows.len(),
         options,
         obs,
         &mut stats,
-        |i| candidates[i].estimate.value,
+        |i| rows[i].value,
         |i| {
-            if let Some(cached) = warm_binds.get(&masks[i]) {
+            if let Some(cached) = cached_binds.get(&rows[i].mask) {
                 return Ok(cached.clone());
             }
-            let rebuilt = lazy_units
-                .as_deref()
-                .map(|units| flexplore_spec::allocation_from_units(units, masks[i]));
-            let allocation = rebuilt.as_ref().unwrap_or(&candidates[i].allocation);
+            let allocation = allocation_from_units(&units, rows[i].mask);
             let (implemented, _) =
-                implement_allocation(compiled, allocation, &options.implement, Some(&batch), obs)?;
+                implement_allocation(compiled, &allocation, &options.implement, Some(&batch), obs)?;
             Ok(implemented)
         },
         // Warm-hit accounting happens here, over exactly the attempts the
         // sequential run makes, so it is thread-invariant.
         |i, implemented, f_cur| {
-            if warm_binds.contains_key(&masks[i]) {
+            if cached_binds.contains_key(&rows[i].mask) {
                 bind_hits += 1;
             }
             if capture {
-                bind_out.push((masks[i], implemented.clone()));
+                bind_out.push((rows[i].mask, implemented.clone()));
             }
             let Some(implementation) = implemented else {
                 return f_cur;
@@ -340,14 +284,8 @@ pub(crate) fn explore_inner(
     stats.allocations.warm_hits += bind_hits;
     obs.batch_bind(batch.hits());
     publish_stats(obs, &stats);
-    let captured = capture.then(|| ExploreCapture {
-        candidates: masks
-            .iter()
-            .zip(&candidates)
-            .map(|(mask, candidate)| (*mask, candidate.cost, candidate.estimate.clone()))
-            .collect(),
-        memo,
-        facts,
+    let captured = capture.then_some(ExploreCapture {
+        candidates: rows,
         binds: bind_out,
     });
     Ok((ExploreResult { front, stats }, captured))

@@ -38,7 +38,9 @@
 //! ([`UnitMasks::estimate_relevant_mask`]): subsets differing only in
 //! buses or unusable units share one entry. Materialization reruns the
 //! same short-circuiting traversal as the non-incremental estimate, so
-//! candidates stay byte-identical to the flat scan's.
+//! candidates stay byte-identical to the flat scan's. A kept candidate is
+//! one [`CandidateRow`] plus a shared handle to its memoized estimate: the
+//! walk neither copies an estimate nor builds a resource allocation.
 //!
 //! # Determinism
 //!
@@ -93,16 +95,15 @@
 //! — a mirrored subtree is judged at its surviving sibling's depth — but
 //! `kept`, the candidates, and their order never change.
 
-use crate::allocations::{
-    AllocationCandidate, AllocationOptions, AllocationStats, EnumerationOutput, WarmSeed,
-};
+use crate::allocations::{AllocationOptions, AllocationStats, CandidateRow, EnumerationOutput};
 use crate::memo::ShardedMemo;
 use crate::parallel::run_stealing;
 use flexplore_flex::{DeltaEstimator, DeltaIndex, FlexibilityEstimate};
 use flexplore_lint::AnalysisFacts;
 use flexplore_obs::{phase, ObsSink};
-use flexplore_spec::{allocation_from_units, CompiledSpec, Cost, Unit, UnitMask, UnitMasks};
+use flexplore_spec::{CompiledSpec, Cost, Unit, UnitMask, UnitMasks};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Depth of the sequential DFS prefix; subtrees rooted below it are
@@ -192,13 +193,16 @@ struct Analysis {
     dominators: Vec<UnitMask>,
 }
 
+/// A memoized estimate, shared by every candidate with the same relevant
+/// submask.
+type Estimate = Arc<FlexibilityEstimate>;
+
 /// Shared, read-only inputs of the lattice search.
 struct Ctx<'a> {
     masks: &'a UnitMasks,
     index: &'a DeltaIndex<'a>,
-    /// Units in DFS (ascending-cost) order; mask bit `k` is `dfs_units[k]`.
-    dfs_units: &'a [Unit],
-    /// Original-order unit bit per DFS bit, for flat-identical tie-breaks.
+    /// Original-order unit bit per DFS bit: candidate rows carry
+    /// original-order masks, which also break cost ties flat-identically.
     orig_bits: &'a [UnitMask],
     n: usize,
     /// Communication units subject to the useless-bus pruning (empty when
@@ -210,16 +214,16 @@ struct Ctx<'a> {
     analysis: Option<Analysis>,
     /// Estimate memo shared across all walks (and workers) of this scan;
     /// see the determinism section of the module docs.
-    shared: &'a ShardedMemo<FlexibilityEstimate>,
+    shared: &'a ShardedMemo<Estimate>,
     observe: bool,
 }
 
 /// Per-walk mutable state; phase-2 items each get a fresh one so counters
 /// are independent of the thread partition.
 struct State<'a> {
-    kept: Vec<(UnitMask, AllocationCandidate)>,
+    kept: Vec<(CandidateRow, Estimate)>,
     stats: AllocationStats,
-    memo: HashMap<UnitMask, FlexibilityEstimate>,
+    memo: HashMap<UnitMask, Estimate>,
     /// Delta tracker of the decided subset `mask`.
     current: DeltaEstimator<'a>,
     /// Delta tracker of `mask | rest` — the monotone infeasibility bound.
@@ -290,7 +294,7 @@ impl<'a> State<'a> {
     /// materializing from the tracker — only actual materializations count
     /// into the `enumerate.estimate` phase. Either way the key joins the
     /// local memo, so the local hit/miss sequence is schedule-independent.
-    fn estimate_here(&mut self, ctx: &Ctx<'_>, mask: UnitMask) -> FlexibilityEstimate {
+    fn estimate_here(&mut self, ctx: &Ctx<'_>, mask: UnitMask) -> Estimate {
         let key = mask & ctx.masks.estimate_relevant_mask();
         if let Some(found) = self.memo.get(&key) {
             self.stats.estimate_memo_hits += 1;
@@ -302,7 +306,7 @@ impl<'a> State<'a> {
             return found;
         }
         let started = ctx.observe.then(Instant::now);
-        let est = self.current.materialize();
+        let est = Arc::new(self.current.materialize());
         if let Some(started) = started {
             self.estimate_calls += 1;
             self.estimate_wall += started.elapsed();
@@ -322,8 +326,6 @@ pub(crate) fn bnb_scan(
     options: &AllocationOptions,
     facts: Option<&AnalysisFacts>,
     obs: &ObsSink,
-    seed: Option<&WarmSeed>,
-    capture: bool,
 ) -> EnumerationOutput {
     let n = units.len();
     let unit_cost = |u: &Unit| match *u {
@@ -357,38 +359,10 @@ pub(crate) fn bnb_scan(
     } else {
         UnitMask::empty()
     };
-    let shared: ShardedMemo<FlexibilityEstimate> = ShardedMemo::new();
-    // Pre-seed the shared memo from a warm-start cache. Seed keys arrive
-    // in original unit order (the cache's coordinate system) and are
-    // translated into this run's DFS order, then re-restricted to the
-    // current estimate-relevance mask. Seeding only changes *which*
-    // estimates are materialized fresh — the values a pure function of the
-    // key — so every deterministic counter matches the unseeded run; only
-    // the obs-side `enumerate.estimate` busy time shrinks.
-    let mut pos = vec![0usize; n];
-    for (d, &o) in order.iter().enumerate() {
-        pos[o] = d;
-    }
-    let mut seeded: HashSet<UnitMask> = HashSet::new();
-    if let Some(seed) = seed {
-        let relevant = masks.estimate_relevant_mask();
-        for (orig_key, est) in &seed.memo {
-            if orig_key.iter_ones().any(|o| o >= n) {
-                continue;
-            }
-            let mut key = UnitMask::empty();
-            for o in orig_key.iter_ones() {
-                key |= UnitMask::bit(pos[o]);
-            }
-            let key = key & relevant;
-            shared.insert_if_absent(key, est.clone());
-            seeded.insert(key);
-        }
-    }
+    let shared: ShardedMemo<Estimate> = ShardedMemo::new();
     let ctx = Ctx {
         masks: &masks,
         index: &index,
-        dfs_units: &dfs_units,
         orig_bits: &orig_bits,
         n,
         comm,
@@ -481,12 +455,6 @@ pub(crate) fn bnb_scan(
         state.absorb(st);
     }
     state.stats.memo_cross_hits = cross_hits;
-    // Warm hits: distinct first-miss keys the seeded memo answered. The
-    // distinct-miss set is a property of the (deterministic) walk, so the
-    // count is identical at every thread count.
-    if !seeded.is_empty() {
-        state.stats.warm_hits = seen.iter().filter(|k| seeded.contains(*k)).count() as u64;
-    }
     obs.add_time(
         phase::ENUMERATE_ESTIMATE,
         state.estimate_calls,
@@ -494,34 +462,12 @@ pub(crate) fn bnb_scan(
     );
 
     let mut kept = state.kept;
-    kept.sort_by_key(|(orig, c)| (c.cost, std::cmp::Reverse(c.estimate.value), *orig));
-    let memo = if capture {
-        // Export the memo for persisting: translate DFS-order keys back
-        // into original unit order and sort for a deterministic file.
-        let mut entries: Vec<(UnitMask, FlexibilityEstimate)> = shared
-            .snapshot()
-            .into_iter()
-            .map(|(key, est)| {
-                let mut orig = UnitMask::empty();
-                for d in key.iter_ones() {
-                    orig |= UnitMask::bit(order[d]);
-                }
-                (orig, est)
-            })
-            .collect();
-        entries.sort_unstable_by_key(|(key, _)| key.into_words());
-        entries
-    } else {
-        Vec::new()
-    };
-    let (masks_out, candidates): (Vec<UnitMask>, Vec<AllocationCandidate>) =
-        kept.into_iter().unzip();
+    kept.sort_by_key(|(row, _)| (row.cost, std::cmp::Reverse(row.value), row.mask));
+    let (rows, estimates) = kept.into_iter().unzip();
     EnumerationOutput {
-        candidates,
-        masks: masks_out,
+        rows,
+        estimates,
         stats: state.stats,
-        memo,
-        facts: None,
     }
 }
 
@@ -869,7 +815,7 @@ fn fill(ctx: &Ctx<'_>, st: &mut State<'_>, mask: UnitMask, depth: usize, cost: C
                 found
             } else {
                 let started = ctx.observe.then(Instant::now);
-                let est = st.current.materialize();
+                let est = Arc::new(st.current.materialize());
                 if let Some(started) = started {
                     st.estimate_calls += 1;
                     st.estimate_wall += started.elapsed();
@@ -889,19 +835,13 @@ fn fill(ctx: &Ctx<'_>, st: &mut State<'_>, mask: UnitMask, depth: usize, cost: C
     }
 }
 
-/// Records one kept allocation, tagged with its original-order unit mask
-/// for the flat-identical final sort. Active expansions fan the subset
-/// out into its whole equivalent family first: every variant shares the
-/// estimate byte for byte (twins add only coverage-subsumed units,
-/// orbit members have identical coverage), exactly as the flat scan
-/// would compute it.
-fn emit(
-    ctx: &Ctx<'_>,
-    st: &mut State<'_>,
-    mask: UnitMask,
-    cost: Cost,
-    estimate: FlexibilityEstimate,
-) {
+/// Records one kept allocation as a row over its original-order unit mask,
+/// which the flat-identical final sort also reads. Active expansions fan
+/// the subset out into its whole equivalent family first: every variant
+/// shares the estimate byte for byte (twins add only coverage-subsumed
+/// units, orbit members have identical coverage), exactly as the flat scan
+/// would compute it, so they share its handle.
+fn emit(ctx: &Ctx<'_>, st: &mut State<'_>, mask: UnitMask, cost: Cost, estimate: Estimate) {
     if st.expansions.is_empty() {
         st.stats.kept += 1;
         push_candidate(ctx, st, mask, cost, estimate);
@@ -964,19 +904,16 @@ fn push_candidate(
     st: &mut State<'_>,
     mask: UnitMask,
     cost: Cost,
-    estimate: FlexibilityEstimate,
+    estimate: Estimate,
 ) {
-    let allocation = allocation_from_units(ctx.dfs_units, mask);
     let mut orig = UnitMask::empty();
     for k in mask.iter_ones() {
         orig |= ctx.orig_bits[k];
     }
-    st.kept.push((
-        orig,
-        AllocationCandidate {
-            allocation,
-            cost,
-            estimate,
-        },
-    ));
+    let row = CandidateRow {
+        mask: orig,
+        cost,
+        value: estimate.value,
+    };
+    st.kept.push((row, estimate));
 }

@@ -67,7 +67,7 @@ mod weighted;
 
 pub use allocations::{
     allocatable_units, possible_resource_allocations, AllocationCandidate, AllocationOptions,
-    AllocationStats, Unit,
+    AllocationStats, CandidateRow, Unit,
 };
 pub use error::ExploreError;
 pub use explore::{
@@ -84,7 +84,7 @@ pub use resilience::{
 };
 pub use upgrade::explore_upgrades;
 pub use warmstart::{
-    explore_compiled_warm, options_hash, spec_delta, CacheEntry, CachedCandidate, ExploreCache,
-    SpecDelta, WarmMode, WarmOutcome, WarmSummary, CACHE_FORMAT,
+    explore_compiled_warm, options_hash, spec_delta, CacheEntry, ExploreCache, SpecDelta, WarmMode,
+    WarmOutcome, WarmSummary, CACHE_FORMAT,
 };
 pub use weighted::{explore_weighted, WeightedExploreResult, WeightedPoint};

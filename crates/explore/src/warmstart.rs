@@ -1,31 +1,28 @@
-//! Warm-start exploration cache: persisted fronts, estimate memos and bind
+//! Warm-start exploration cache: persisted fronts, candidate rows and bind
 //! outcomes keyed by a content hash of the specification, with delta-scoped
 //! invalidation.
 //!
-//! A cold exploration run produces three reusable artifacts:
+//! A cold exploration run produces two reusable artifacts:
 //!
-//! 1. the cost-sorted candidate list the enumerator emitted (with its
+//! 1. the cost-sorted [`CandidateRow`]s the enumerator emitted (with its
 //!    counters — the enumeration is deterministic, so replaying it *is*
 //!    re-running it),
-//! 2. the submask → flexibility-estimate memo of the branch-and-bound walk,
-//! 3. the bind outcome (implementation or proven-infeasible) per attempted
+//! 2. the bind outcome (implementation or proven-infeasible) per attempted
 //!    candidate.
 //!
 //! Each artifact is valid under a different layer of the per-unit
-//! [`SpecSignature`]: the memo survives any edit outside a key's
-//! estimate layer, the enumeration survives any edit outside *every*
+//! [`SpecSignature`]: the candidate rows survive any edit outside *every*
 //! unit's enumeration layer (latencies, notably), and a bind outcome
 //! survives edits outside its candidate's binding layer. Diffing the cached
 //! signature against the current one therefore classifies a re-exploration
 //! into one of four *warm levels*:
 //!
 //! * **exact** — identical fingerprint: replay the whole result.
-//! * **replay** — only binding layers changed: replay the enumeration
+//! * **replay** — only binding layers changed: replay the candidate rows
 //!   wholesale, re-bind only candidates whose mask intersects the changed
 //!   units.
-//! * **seeded** — enumeration layers changed: walk the lattice with the
-//!   surviving memo entries pre-seeded, re-bind through the surviving bind
-//!   cache.
+//! * **seeded** — enumeration layers changed: re-walk the lattice, reuse
+//!   the surviving bind outcomes.
 //! * **cold** — different unit universe, problem or extras: start over.
 //!
 //! Every warm level reproduces the cold run's deterministic counters and
@@ -36,32 +33,27 @@
 //! version-mismatched cache file degrades to a cold run with a warning —
 //! the cache can make a run faster, never wrong, and never failed.
 
-use crate::allocations::{AllocationCandidate, WarmSeed};
+use crate::allocations::CandidateRow;
 use crate::error::ExploreError;
-use crate::explore::{
-    explore_inner, publish_stats, ExploreCapture, ExploreOptions, ExploreResult, ReplayEnumeration,
-    WarmInput,
-};
+use crate::explore::{explore_inner, publish_stats, ExploreCapture, ExploreOptions, ExploreResult};
 use crate::pareto::ParetoFront;
 use flexplore_bind::Implementation;
-use flexplore_flex::FlexibilityEstimate;
-use flexplore_lint::AnalysisFacts;
 use flexplore_obs::{phase, ObsSink};
 use flexplore_spec::{
-    allocatable_units, CompiledSpec, Cost, Fingerprint, ResourceAllocation, SpecSignature,
-    SpecificationGraph, UnitMask, MAX_UNITS,
+    CompiledSpec, Fingerprint, SpecSignature, SpecificationGraph, UnitMask, MAX_UNITS,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version stamp of the on-disk cache format. Bumped on any change to the
 /// line layout or the semantics of a persisted field; readers reject (with
 /// a warning, degrading to cold) any file whose stamp differs.
-pub const CACHE_FORMAT: u32 = 1;
+pub const CACHE_FORMAT: u32 = 2;
 
 /// File-kind marker, so an unrelated JSON file dropped into the cache
 /// directory is rejected by content, not just by name.
@@ -72,10 +64,11 @@ const CACHE_KIND: &str = "flexplore-explore-cache";
 pub enum WarmMode {
     /// Identical fingerprint: the persisted result was replayed outright.
     Exact,
-    /// Only binding layers changed: enumeration replayed, binds delta-scoped.
+    /// Only binding layers changed: candidate rows replayed, binds
+    /// delta-scoped.
     Replay,
-    /// Enumeration layers changed: lattice re-walked with the surviving
-    /// estimate memo pre-seeded.
+    /// Enumeration layers changed: lattice re-walked, surviving bind
+    /// outcomes reused.
     Seeded,
     /// No usable cache entry (or none compatible): everything recomputed.
     Cold,
@@ -106,9 +99,6 @@ impl fmt::Display for WarmMode {
 pub struct SpecDelta {
     /// The warm level the difference admits (never [`WarmMode::Cold`]).
     pub mode: WarmMode,
-    /// Units whose estimate layer changed (memo keys touching them are
-    /// invalid). Always a subset of `d_enum`.
-    pub d_est: UnitMask,
     /// Units whose enumeration layer changed (non-empty forces a lattice
     /// re-walk).
     pub d_enum: UnitMask,
@@ -132,13 +122,9 @@ pub fn spec_delta(old: &SpecSignature, new: &SpecSignature) -> Option<SpecDelta>
     {
         return None;
     }
-    let mut d_est = UnitMask::empty();
     let mut d_enum = UnitMask::empty();
     let mut d_bind = UnitMask::empty();
     for (k, (a, b)) in old.units.iter().zip(&new.units).enumerate() {
-        if a.est_sig != b.est_sig {
-            d_est.set(k);
-        }
         if a.enum_sig != b.enum_sig {
             d_enum.set(k);
         }
@@ -146,7 +132,7 @@ pub fn spec_delta(old: &SpecSignature, new: &SpecSignature) -> Option<SpecDelta>
             d_bind.set(k);
         }
     }
-    let all = d_est | d_enum | d_bind;
+    let all = d_enum | d_bind;
     let mode = if all == UnitMask::empty() {
         WarmMode::Exact
     } else if d_enum == UnitMask::empty() {
@@ -156,27 +142,14 @@ pub fn spec_delta(old: &SpecSignature, new: &SpecSignature) -> Option<SpecDelta>
     };
     Some(SpecDelta {
         mode,
-        d_est,
         d_enum,
         d_bind,
         delta_units: u64::from(all.count_ones()),
     })
 }
 
-/// One persisted candidate row: enough to replay the enumeration without
-/// re-walking the lattice (the allocation is rebuilt from the mask).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CachedCandidate {
-    /// Allocated-unit mask in unit-universe order.
-    pub mask: UnitMask,
-    /// Allocation cost.
-    pub cost: Cost,
-    /// Optimistic flexibility estimate.
-    pub estimate: FlexibilityEstimate,
-}
-
 /// Everything one exploration run persists: the result, the signature it
-/// is valid for, and the three replayable artifacts.
+/// is valid for, and the two replayable artifacts.
 ///
 /// Stored counters are the *cold* counters — the warm-start fields of
 /// [`crate::AllocationStats`] are zeroed before persisting, so a replayed
@@ -192,12 +165,8 @@ pub struct CacheEntry {
     pub stats: crate::ExploreStats,
     /// The Pareto front found.
     pub front: ParetoFront,
-    /// Static lattice-analysis facts the enumeration used, if any.
-    pub facts: Option<AnalysisFacts>,
-    /// The enumerator's cost-sorted candidate list.
-    pub candidates: Vec<CachedCandidate>,
-    /// Submask → estimate memo in unit-universe order, sorted by mask.
-    pub memo: Vec<(UnitMask, FlexibilityEstimate)>,
+    /// The enumerator's cost-sorted candidate rows.
+    pub candidates: Vec<CandidateRow>,
     /// Bind outcome per attempted candidate mask, sorted by mask;
     /// `None` records "attempted, proven infeasible".
     pub binds: Vec<(UnitMask, Option<Implementation>)>,
@@ -253,9 +222,20 @@ pub fn explore_compiled_warm(
     prior: Option<&CacheEntry>,
     obs: &ObsSink,
 ) -> Result<WarmOutcome, ExploreError> {
-    let signature = SpecSignature::of(compiled);
+    explore_warm(compiled, SpecSignature::of(compiled), options, prior, obs)
+}
+
+/// [`explore_compiled_warm`] for a caller that already holds the spec's
+/// `signature`.
+fn explore_warm(
+    compiled: &CompiledSpec<'_>,
+    signature: SpecSignature,
+    options: &ExploreOptions,
+    prior: Option<&CacheEntry>,
+    obs: &ObsSink,
+) -> Result<WarmOutcome, ExploreError> {
     let mut warnings = Vec::new();
-    let delta = prior.and_then(|entry| {
+    let warm_prior = prior.and_then(|entry| {
         if !options_compatible(&entry.options, options) {
             warnings.push(
                 "cache entry was produced under different exploration options; running cold"
@@ -263,13 +243,13 @@ pub fn explore_compiled_warm(
             );
             return None;
         }
-        spec_delta(&entry.signature, &signature)
+        spec_delta(&entry.signature, &signature).map(|d| (entry, d))
     });
 
     // Exact replay: hand back the persisted result without touching the
     // solver. The stored counters are the cold counters; the whole kept
     // set and every bind attempt count as warm hits.
-    if let (Some(entry), Some(d)) = (prior, delta.as_ref()) {
+    if let Some((entry, d)) = &warm_prior {
         if d.mode == WarmMode::Exact {
             let mut stats = entry.stats;
             let warm_hits = stats.allocations.kept + stats.implement_attempts;
@@ -287,7 +267,7 @@ pub fn explore_compiled_warm(
             let entry = CacheEntry {
                 options: normalized_options(options),
                 signature,
-                ..entry.clone()
+                ..(*entry).clone()
             };
             return Ok(WarmOutcome {
                 result: ExploreResult {
@@ -300,54 +280,23 @@ pub fn explore_compiled_warm(
         }
     }
 
-    let mode = delta.as_ref().map_or(WarmMode::Cold, |d| d.mode);
-    let mut invalidated: u64 = 0;
-    let mut warm = WarmInput::default();
-    if let (Some(entry), Some(d)) = (prior, delta.as_ref()) {
-        let (binds, dropped_binds) = surviving_binds(&entry.binds, d.d_bind);
-        invalidated += dropped_binds;
-        warm.binds = binds;
-        match d.mode {
-            WarmMode::Replay => {
-                // No enumeration layer changed: the cached candidate list
-                // and enumeration counters are exactly what a fresh walk
-                // would produce. Allocations are rebuilt lazily at solver
-                // call sites — see `ReplayEnumeration`.
-                let units = allocatable_units(compiled.spec());
-                let mut masks = Vec::with_capacity(entry.candidates.len());
-                let mut candidates = Vec::with_capacity(entry.candidates.len());
-                for row in &entry.candidates {
-                    masks.push(row.mask);
-                    candidates.push(AllocationCandidate {
-                        allocation: ResourceAllocation::new(),
-                        cost: row.cost,
-                        estimate: row.estimate.clone(),
-                    });
-                }
-                warm.replay = Some(ReplayEnumeration {
-                    candidates,
-                    masks,
-                    units,
-                    stats: entry.stats.allocations,
-                });
-            }
-            WarmMode::Seeded => {
-                let before = entry.memo.len();
-                let memo: Vec<(UnitMask, FlexibilityEstimate)> = entry
-                    .memo
-                    .iter()
-                    .filter(|(key, _)| !key.intersects(d.d_est))
-                    .cloned()
-                    .collect();
-                invalidated += (before - memo.len()) as u64;
-                warm.seed = Some(WarmSeed { memo });
-            }
-            WarmMode::Exact | WarmMode::Cold => unreachable!("handled above"),
+    let mut mode = WarmMode::Cold;
+    let mut delta_units = 0;
+    let mut cached_binds = HashMap::new();
+    let mut invalidated = 0;
+    let mut replay = None;
+    if let Some((entry, d)) = &warm_prior {
+        (mode, delta_units) = (d.mode, d.delta_units);
+        (cached_binds, invalidated) = surviving_binds(&entry.binds, d.d_bind);
+        if mode == WarmMode::Replay {
+            // No enumeration layer changed: the cached rows and counters
+            // are exactly what a fresh walk would produce.
+            replay = Some((entry.candidates.clone(), entry.stats.allocations));
         }
     }
 
-    let replayed = warm.replay.is_some();
-    let (mut result, capture) = explore_inner(compiled, options, obs, warm, true)?;
+    let replayed = replay.is_some();
+    let (mut result, capture) = explore_inner(compiled, options, obs, replay, &cached_binds, true)?;
     let capture = capture.expect("capture requested");
     if replayed {
         // Credit the replayed enumeration: every kept candidate came from
@@ -355,7 +304,7 @@ pub fn explore_compiled_warm(
         result.stats.allocations.warm_hits += result.stats.allocations.kept;
     }
     result.stats.allocations.warm_invalidated = invalidated;
-    result.stats.allocations.delta_units = delta.as_ref().map_or(0, |d| d.delta_units);
+    result.stats.allocations.delta_units = delta_units;
     let warm_hits = result.stats.allocations.warm_hits;
     obs.warmstart(
         mode.as_str(),
@@ -364,7 +313,7 @@ pub fn explore_compiled_warm(
         result.stats.allocations.delta_units,
     );
 
-    let entry = build_entry(options, signature, &result, capture, prior, mode);
+    let entry = build_entry(options, signature, &result, capture, cached_binds);
     let summary = WarmSummary {
         mode,
         fingerprint: entry.signature.fingerprint,
@@ -380,53 +329,24 @@ pub fn explore_compiled_warm(
     })
 }
 
-/// Assembles the refreshed cache entry from a run's capture, carrying
-/// forward artifacts the delta proved still valid.
+/// Assembles the refreshed cache entry from a run's capture and the cached
+/// bind outcomes the delta proved still valid.
 fn build_entry(
     options: &ExploreOptions,
     signature: SpecSignature,
     result: &ExploreResult,
     capture: ExploreCapture,
-    prior: Option<&CacheEntry>,
-    mode: WarmMode,
+    mut binds: HashMap<UnitMask, Option<Implementation>>,
 ) -> CacheEntry {
     let mut stats = result.stats;
     stats.allocations.warm_hits = 0;
     stats.allocations.warm_invalidated = 0;
     stats.allocations.delta_units = 0;
 
-    // Replay runs skip the lattice walk, so the capture has no memo and no
-    // facts; the cached ones are still exact (no enumeration layer
-    // changed).
-    let memo = if capture.memo.is_empty() && mode == WarmMode::Replay {
-        prior.map(|e| e.memo.clone()).unwrap_or_default()
-    } else {
-        capture.memo
-    };
-    let facts = match (capture.facts, mode, prior) {
-        (Some(facts), _, _) => Some(facts),
-        (None, WarmMode::Replay, Some(e)) => e.facts.clone(),
-        (None, _, _) => None,
-    };
-
     // Bind outcomes: everything this run attempted, plus surviving cached
     // outcomes it never re-attempted (their candidates were pruned this
     // time, but the outcomes stay valid for the next delta check).
-    let mut binds: HashMap<UnitMask, Option<Implementation>> = HashMap::new();
-    if let Some(e) = prior {
-        if mode != WarmMode::Cold {
-            if let Some(d) = spec_delta(&e.signature, &signature) {
-                for (mask, outcome) in &e.binds {
-                    if !mask.intersects(d.d_bind) {
-                        binds.insert(*mask, outcome.clone());
-                    }
-                }
-            }
-        }
-    }
-    for (mask, outcome) in capture.binds {
-        binds.insert(mask, outcome);
-    }
+    binds.extend(capture.binds);
     let mut binds: Vec<(UnitMask, Option<Implementation>)> = binds.into_iter().collect();
     binds.sort_unstable_by_key(|(mask, _)| mask.into_words());
 
@@ -435,17 +355,7 @@ fn build_entry(
         signature,
         stats,
         front: result.front.clone(),
-        facts,
-        candidates: capture
-            .candidates
-            .into_iter()
-            .map(|(mask, cost, estimate)| CachedCandidate {
-                mask,
-                cost,
-                estimate,
-            })
-            .collect(),
-        memo,
+        candidates: capture.candidates,
         binds,
     }
 }
@@ -522,15 +432,14 @@ struct Header {
     kind: String,
     options_hash: String,
     candidates: u64,
-    memos: u64,
     binds: u64,
     options: ExploreOptions,
     signature: SpecSignature,
 }
 
 /// Renders an entry into the JSON-lines file body: header, stats, front,
-/// facts, then one line per candidate, memo entry and bind outcome. Every
-/// line is one self-contained JSON value; the byte output is deterministic.
+/// then one line per candidate row and bind outcome. Every line is one
+/// self-contained JSON value; the byte output is deterministic.
 fn render_entry(entry: &CacheEntry, options_hash: &str) -> Result<String, String> {
     fn line<T: Serialize>(out: &mut String, value: &T) -> Result<(), String> {
         let json = serde_json::to_string(value).map_err(|e| e.to_string())?;
@@ -543,7 +452,6 @@ fn render_entry(entry: &CacheEntry, options_hash: &str) -> Result<String, String
         kind: CACHE_KIND.to_owned(),
         options_hash: options_hash.to_owned(),
         candidates: entry.candidates.len() as u64,
-        memos: entry.memo.len() as u64,
         binds: entry.binds.len() as u64,
         options: entry.options.clone(),
         signature: entry.signature.clone(),
@@ -552,12 +460,8 @@ fn render_entry(entry: &CacheEntry, options_hash: &str) -> Result<String, String
     line(&mut out, &header)?;
     line(&mut out, &entry.stats)?;
     line(&mut out, &entry.front)?;
-    line(&mut out, &entry.facts)?;
     for candidate in &entry.candidates {
         line(&mut out, candidate)?;
-    }
-    for row in &entry.memo {
-        line(&mut out, row)?;
     }
     for row in &entry.binds {
         line(&mut out, row)?;
@@ -565,8 +469,17 @@ fn render_entry(entry: &CacheEntry, options_hash: &str) -> Result<String, String
     Ok(out)
 }
 
-/// Parses and validates the header line only — enough to rank candidate
-/// cache files without paying for their bodies.
+/// Reads and validates the header line of the cache file at `path` without
+/// reading its body — enough to rank cache files.
+fn read_header(path: &Path) -> Result<Header, String> {
+    let mut first = String::new();
+    fs::File::open(path)
+        .and_then(|file| BufReader::new(file).read_line(&mut first))
+        .map_err(|e| format!("unreadable: {e}"))?;
+    parse_header(&first)
+}
+
+/// Parses and validates the header, the first line of `text`.
 fn parse_header(text: &str) -> Result<Header, String> {
     let first = text.lines().next().ok_or("empty cache file")?;
     let header: Header =
@@ -601,18 +514,11 @@ fn parse_entry(text: &str) -> Result<CacheEntry, String> {
         serde_json::from_str(next("stats")?).map_err(|e| format!("bad stats line: {e}"))?;
     let front: ParetoFront =
         serde_json::from_str(next("front")?).map_err(|e| format!("bad front line: {e}"))?;
-    let facts: Option<AnalysisFacts> =
-        serde_json::from_str(next("facts")?).map_err(|e| format!("bad facts line: {e}"))?;
     let mut candidates = Vec::with_capacity(header.candidates as usize);
     for i in 0..header.candidates {
         let row = next("candidate")?;
         candidates
             .push(serde_json::from_str(row).map_err(|e| format!("bad candidate line {i}: {e}"))?);
-    }
-    let mut memo = Vec::with_capacity(header.memos as usize);
-    for i in 0..header.memos {
-        let row = next("memo entry")?;
-        memo.push(serde_json::from_str(row).map_err(|e| format!("bad memo line {i}: {e}"))?);
     }
     let mut binds = Vec::with_capacity(header.binds as usize);
     for i in 0..header.binds {
@@ -624,9 +530,7 @@ fn parse_entry(text: &str) -> Result<CacheEntry, String> {
         signature: header.signature,
         stats,
         front,
-        facts,
         candidates,
-        memo,
         binds,
     })
 }
@@ -688,7 +592,7 @@ impl ExploreCache {
         let signature = SpecSignature::of(compiled);
         let hash = options_hash(options);
         let (prior, mut warnings) = self.load_best(&hash, &signature);
-        let mut outcome = explore_compiled_warm(compiled, options, prior.as_ref(), obs)?;
+        let mut outcome = explore_warm(compiled, signature, options, prior.as_ref(), obs)?;
         if let Err(w) = self.store(&hash, &outcome.entry) {
             warnings.push(w);
         }
@@ -721,29 +625,24 @@ impl ExploreCache {
         names.sort_unstable();
         // Rank: warmer mode first, then fewer changed units, then name for
         // determinism.
-        let mut ranked: Vec<(WarmMode, u64, String, String)> = Vec::new();
+        let mut ranked: Vec<(WarmMode, u64, String)> = Vec::new();
         for name in names {
-            let path = self.dir.join(&name);
-            let text = match fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) => {
-                    warnings.push(format!("ignoring unreadable cache file {name}: {e}"));
-                    continue;
-                }
-            };
-            match parse_header(&text) {
+            match read_header(&self.dir.join(&name)) {
                 Ok(header) => {
                     let Some(d) = spec_delta(&header.signature, signature) else {
                         continue; // different spec shape: simply not useful
                     };
-                    ranked.push((d.mode, d.delta_units, name, text));
+                    ranked.push((d.mode, d.delta_units, name));
                 }
                 Err(e) => warnings.push(format!("ignoring cache file {name}: {e}")),
             }
         }
-        ranked.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-        for (_, _, name, text) in ranked {
-            match parse_entry(&text) {
+        ranked.sort_unstable();
+        for (_, _, name) in ranked {
+            let parsed = fs::read_to_string(self.dir.join(&name))
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|text| parse_entry(&text));
+            match parsed {
                 Ok(entry) => return (Some(entry), warnings),
                 Err(e) => warnings.push(format!("ignoring corrupt cache file {name}: {e}")),
             }
@@ -758,7 +657,8 @@ impl ExploreCache {
     /// which is then renamed onto the final name, so a concurrent reader
     /// sees either the previous entry or the new one, never a truncated
     /// file. The temporary name does not end in `.json`, so `load_best`
-    /// never picks it up.
+    /// never picks it up, and it is removed when either the write (a full
+    /// disk, say) or the rename fails.
     fn store(&self, options_hash: &str, entry: &CacheEntry) -> Result<(), String> {
         static STORES: AtomicU64 = AtomicU64::new(0);
         fs::create_dir_all(&self.dir)
@@ -769,11 +669,12 @@ impl ExploreCache {
         let temp = self
             .dir
             .join(format!(".{name}.{}-{store}.tmp", std::process::id()));
-        fs::write(&temp, body).map_err(|e| format!("cannot write cache file {name}: {e}"))?;
-        fs::rename(&temp, self.dir.join(&name)).map_err(|e| {
-            let _ = fs::remove_file(&temp);
-            format!("cannot write cache file {name}: {e}")
-        })
+        fs::write(&temp, body)
+            .and_then(|()| fs::rename(&temp, self.dir.join(&name)))
+            .map_err(|e| {
+                let _ = fs::remove_file(&temp);
+                format!("cannot write cache file {name}: {e}")
+            })
     }
 }
 
@@ -783,7 +684,7 @@ mod tests {
     use crate::ExploreStats;
     use flexplore_hgraph::{PortDirection, PortTarget, Scope};
     use flexplore_sched::Time;
-    use flexplore_spec::{ArchitectureGraph, ProblemGraph, ProcessAttrs};
+    use flexplore_spec::{ArchitectureGraph, Cost, ProblemGraph, ProcessAttrs};
 
     /// The explore-module test spec, parameterized so edits hit exactly one
     /// signature layer: `v2_cpu_latency` is binding-only, `asic_cost` is
@@ -918,8 +819,7 @@ mod tests {
         let parsed = parse_entry(&body).unwrap();
         assert_eq!(parsed.signature, cold.entry.signature);
         assert_eq!(parsed.stats, cold.entry.stats);
-        assert_eq!(parsed.candidates.len(), cold.entry.candidates.len());
-        assert_eq!(parsed.memo.len(), cold.entry.memo.len());
+        assert_eq!(parsed.candidates, cold.entry.candidates);
         assert_eq!(parsed.binds.len(), cold.entry.binds.len());
         assert_eq!(
             serde_json::to_string(&parsed.front).unwrap(),
@@ -959,17 +859,61 @@ mod tests {
         let healed = cache.explore(&s, &options, &obs).unwrap();
         assert_eq!(healed.summary.mode, WarmMode::Exact);
 
-        // A version-mismatched file also degrades gracefully.
+        // An entry stamped with the previous format (as an older build
+        // wrote it) also degrades gracefully, and is rewritten.
+        let stamp = format!("\"format\":{CACHE_FORMAT}");
         for entry in fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
             let text = fs::read_to_string(&path).unwrap();
-            let mutated = text.replacen("\"format\":1", "\"format\":999", 1);
+            let mutated = text.replacen(&stamp, "\"format\":1", 1);
             assert_ne!(mutated, text, "format stamp not found in header");
             fs::write(&path, mutated).unwrap();
         }
         let mismatched = cache.explore(&s, &options, &obs).unwrap();
         assert_eq!(mismatched.summary.mode, WarmMode::Cold);
         assert!(!mismatched.summary.warnings.is_empty());
+        assert_eq!(front_json(&mismatched), front_json(&cold));
+        let rewritten = cache.explore(&s, &options, &obs).unwrap();
+        assert_eq!(rewritten.summary.mode, WarmMode::Exact);
+        assert!(rewritten.summary.warnings.is_empty());
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_body_of_the_best_entry_falls_back_to_the_next_best() {
+        let dir = std::env::temp_dir().join(format!(
+            "flexplore-warmstart-fallback-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ExploreCache::new(&dir);
+        let options = ExploreOptions::paper();
+        let obs = ObsSink::disabled();
+        let edited = spec(21, 80);
+        cache.explore(&spec(20, 80), &options, &obs).unwrap();
+        let replayed = cache.explore(&edited, &options, &obs).unwrap();
+        assert_eq!(replayed.summary.mode, WarmMode::Replay);
+
+        // Keep only the header of the edited spec's entry: it still ranks
+        // first (exact), but its body fails to parse, so the run falls
+        // back to the unedited spec's entry.
+        let name = format!(
+            "{}-{}.json",
+            options_hash(&options),
+            replayed.summary.fingerprint
+        );
+        let text = fs::read_to_string(dir.join(&name)).unwrap();
+        let header = text.lines().next().unwrap();
+        fs::write(dir.join(&name), format!("{header}\n")).unwrap();
+        let fallback = cache.explore(&edited, &options, &obs).unwrap();
+        assert_eq!(fallback.summary.mode, WarmMode::Replay);
+        assert!(
+            fallback.summary.warnings.iter().any(|w| w.contains(&name)),
+            "{:?}",
+            fallback.summary.warnings
+        );
+        assert_eq!(front_json(&fallback), front_json(&replayed));
 
         let _ = fs::remove_dir_all(&dir);
     }

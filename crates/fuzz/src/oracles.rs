@@ -481,7 +481,7 @@ fn bump_numeric_field(json: &str, field: &str) -> Option<String> {
 
 /// Warm-started re-exploration must be byte-equivalent to a cold run on
 /// the same spec: exact replay on an unchanged spec, enumeration replay
-/// after a binding-layer (latency) edit, lattice reseed after an
+/// after a binding-layer (latency) edit, lattice re-walk after an
 /// enumeration-layer (cost) edit. Only wall-clock and the warm
 /// bookkeeping fields may differ.
 fn warm_start_equivalence(spec: &SpecificationGraph) -> Option<String> {

@@ -12,9 +12,8 @@
 //!
 //! * `est_sig` — everything the flexibility **estimate** of a submask can
 //!   depend on through this unit (its mapping-coverage column and its
-//!   estimate-relevance bit). Estimate memo entries stay valid across an
-//!   edit iff their relevant submask avoids every unit whose `est_sig`
-//!   changed.
+//!   estimate-relevance bit). The cache keys nothing on it alone: it
+//!   feeds `enum_sig` and the fingerprint.
 //! * `enum_sig` — everything the **enumeration** (candidate set, costs,
 //!   pruning, analysis facts, every enumerate counter) can depend on:
 //!   `est_sig` plus the unit's cost, bus neighborhood, and
@@ -76,7 +75,9 @@ pub struct UnitSig {
     /// signatures whose `ident` columns agree describe the same unit
     /// universe, bit for bit.
     pub ident: u64,
-    /// Estimate layer: coverage column + estimate-relevance bit.
+    /// Estimate layer: coverage column + estimate-relevance bit. Only
+    /// feeds `enum_sig` and the fingerprint; no cached artifact is keyed
+    /// on it alone.
     pub est_sig: u64,
     /// Enumeration layer: `est_sig` + cost + neighborhood + flags.
     pub enum_sig: u64,

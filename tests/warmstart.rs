@@ -289,6 +289,61 @@ fn disk_cache_warms_across_processes_and_survives_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn disk_cache_runs_a_cost_edit_seeded() {
+    // A cost edit changes the enumeration layer: the persisted entry
+    // admits only a re-walk of the lattice, reusing the bind outcomes the
+    // edit left valid. The front and the obs counter section must match a
+    // cold run on the edited spec byte for byte.
+    let dir =
+        std::env::temp_dir().join(format!("flexplore-warmstart-seeded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ExploreCache::new(&dir);
+    let options = threaded(1);
+
+    let base = wide();
+    let first = cache
+        .explore(&base, &options, &ObsSink::disabled())
+        .unwrap();
+    assert_eq!(first.summary.mode, WarmMode::Cold);
+
+    let edited = bump_numeric_field(&base, "cost", 0);
+    let warm_obs = ObsSink::enabled();
+    let warm = cache.explore(&edited, &options, &warm_obs).unwrap();
+    assert_eq!(warm.summary.mode, WarmMode::Seeded);
+    assert!(
+        warm.summary.warnings.is_empty(),
+        "{:?}",
+        warm.summary.warnings
+    );
+    let cold_obs = ObsSink::enabled();
+    let cold = explore_compiled_obs(
+        &CompiledSpec::with_activation_cache(&edited),
+        &options,
+        &cold_obs,
+    )
+    .unwrap();
+    assert_matches_cold(&warm.result, &cold, "disk seeded run");
+    assert_eq!(
+        warm_obs
+            .report("explore", "synthetic-wide", 1)
+            .counters_json()
+            .unwrap(),
+        cold_obs
+            .report("explore", "synthetic-wide", 1)
+            .counters_json()
+            .unwrap()
+    );
+
+    let again = cache
+        .explore(&edited, &options, &ObsSink::disabled())
+        .unwrap();
+    assert_eq!(again.summary.mode, WarmMode::Exact);
+    assert_matches_cold(&again.result, &cold, "exact after the seeded run");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Concurrent watchers sharing one cache directory: every store replaces
 /// the file in one step, so no reader ever sees an empty or partial entry
 /// (which would cost it a warning and a colder re-explore).
