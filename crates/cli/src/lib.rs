@@ -1722,6 +1722,48 @@ mod tests {
         assert!(info.contains("2^47"));
     }
 
+    /// `json` with the number after every `key` replaced by `value`.
+    fn set_every_number(json: &str, key: &str, value: &str) -> String {
+        let mut parts = json.split(key);
+        let mut out = parts.next().unwrap_or_default().to_owned();
+        for part in parts {
+            out.push_str(key);
+            let rest = part.trim_start_matches(|c: char| c.is_ascii_digit());
+            if rest.len() < part.len() {
+                out.push_str(value);
+            }
+            out.push_str(rest);
+        }
+        out
+    }
+
+    /// Hostile magnitudes: every cost at `u64::MAX` is a typed error, and
+    /// every period at `u64::MAX` explores to the usual front. The debug
+    /// build's overflow checks panic on a wrapped cost sum or period
+    /// product, so this also guards against a silent wrap in release.
+    #[test]
+    fn u64_max_costs_and_periods_never_wrap() {
+        let json = run_strs(&["demo", "--json"]).unwrap();
+        let dir = std::env::temp_dir().join("flexplore-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let max = u64::MAX.to_string();
+
+        let costs = dir.join("stb-max-costs.json");
+        std::fs::write(&costs, set_every_number(&json, "\"cost\": ", &max)).unwrap();
+        let costs = costs.to_str().unwrap();
+        assert!(run_strs(&["lint", costs]).is_ok());
+        let e = run_strs(&["explore", costs]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("exceeds u64"), "{e}");
+
+        let periods = dir.join("stb-max-periods.json");
+        let edited = set_every_number(&json, "\"period\": ", &max);
+        assert_eq!(edited.matches(&max).count(), 3);
+        std::fs::write(&periods, edited).unwrap();
+        let out = run_strs(&["explore", periods.to_str().unwrap()]).unwrap();
+        assert!(out.contains("$430  f=8"), "{out}");
+    }
+
     #[test]
     fn resilience_front_is_printed_and_thread_invariant() {
         let json = run_strs(&["demo", "--json"]).unwrap();

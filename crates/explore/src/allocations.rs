@@ -104,17 +104,19 @@ pub struct AllocationStats {
     pub nodes_visited: u64,
     /// Subtree-level prune events of the lattice search.
     pub subtrees_pruned: u64,
-    /// Flexibility-estimate lookups answered by the submask memo instead of
-    /// a fresh evaluation.
+    /// Flexibility-estimate lookups of the sequential prefix walk
+    /// answered by the estimate memo: its lookups minus the distinct
+    /// estimates it materialized.
     pub estimate_memo_hits: u64,
-    /// Estimate keys first missed by one parallel subtree walk that an
-    /// earlier (in sequence order) walk had already materialized — the
-    /// re-estimations the scan-wide sharded memo saves over per-walk
-    /// private memos. Counted at merge time in sequence order, so the
-    /// total is identical at every thread count.
+    /// Flexibility-estimate lookups of the parallel subtree walks answered
+    /// by the estimate memo: their lookups minus the distinct estimates
+    /// they added to it. Both terms are fixed by the walk's decomposition,
+    /// so the total is identical at every thread count.
     pub memo_cross_hits: u64,
     /// Single-unit delta updates applied to the incremental estimate
-    /// trackers along the DFS path, tracker initialization included.
+    /// trackers along the DFS path, tracker initialization included. The
+    /// transient updates that materialize a fill subset's estimate are not
+    /// counted: they happen only on a memo miss.
     pub estimate_delta_pushes: u64,
     /// Exclude branches of statically mandatory units skipped outright by
     /// the analysis certificate (0 without analysis).
@@ -174,8 +176,10 @@ pub struct CandidateRow {
 /// # Errors
 ///
 /// Returns [`ExploreError::TooManyUnits`] when the unit count exceeds
-/// `options.max_units`, and [`ExploreError::UnitOverflow`] when it exceeds
-/// the [`MAX_UNITS`] the multi-word subset masks can index.
+/// `options.max_units`, [`ExploreError::UnitOverflow`] when it exceeds
+/// the [`MAX_UNITS`] the multi-word subset masks can index, and
+/// [`ExploreError::CostOverflow`] when the summed cost of all units does
+/// not fit in a `u64`.
 pub fn possible_resource_allocations(
     compiled: &CompiledSpec<'_>,
     options: &AllocationOptions,
@@ -232,6 +236,11 @@ pub(crate) fn enumerate(
             units: units.len(),
             max: options.max_units,
         });
+    }
+    // Every subset costs at most the total, so neither the walk nor the
+    // solver can wrap once it fits.
+    if compiled.unit_cost_total().is_none() {
+        return Err(ExploreError::CostOverflow);
     }
     let facts = if options.analysis {
         let timer = obs.start();

@@ -25,6 +25,9 @@ pub enum ExploreError {
         /// The subset-mask capacity.
         limit: usize,
     },
+    /// The summed cost of all allocatable units does not fit in a `u64`,
+    /// so some allocation's cost would wrap.
+    CostOverflow,
     /// A per-allocation implementation attempt exceeded a bound.
     Bind(BindError),
 }
@@ -41,6 +44,9 @@ impl fmt::Display for ExploreError {
                     "{units} allocatable units exceed the {limit} the enumerator can index"
                 )
             }
+            ExploreError::CostOverflow => {
+                write!(f, "the summed cost of all allocatable units exceeds u64")
+            }
             ExploreError::Bind(e) => write!(f, "binding: {e}"),
         }
     }
@@ -50,7 +56,9 @@ impl Error for ExploreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExploreError::Bind(e) => Some(e),
-            ExploreError::TooManyUnits { .. } | ExploreError::UnitOverflow { .. } => None,
+            ExploreError::TooManyUnits { .. }
+            | ExploreError::UnitOverflow { .. }
+            | ExploreError::CostOverflow => None,
         }
     }
 }

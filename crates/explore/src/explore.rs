@@ -18,10 +18,11 @@
 //! (the correctness property the `explore-vs-exhaustive` property tests
 //! assert).
 //!
-//! Steps 2 and 3 are one bind/merge loop ([`bind_merge`]), shared with the
-//! weighted exploration. It visits the candidates in chunks: at one thread
-//! a chunk is the single next candidate that survives the bound, so
-//! nothing is speculated; with [`ExploreOptions::threads`] > 1 a chunk is
+//! Steps 2 and 3 are one bind/merge loop ([`bind_merge`]), shared with
+//! the design queries and the upgrade, resilient and weighted
+//! explorations. It visits the candidates in chunks: at one thread a chunk
+//! is the single next candidate that survives the bound, so nothing is
+//! speculated; with [`ExploreOptions::threads`] > 1 a chunk is
 //! up to `threads × 4` bound-surviving candidates, implemented
 //! concurrently against the shared [`CompiledSpec`] (see the crate's
 //! `parallel` module), then merged in cost order with the pruning bound
@@ -41,6 +42,7 @@ use flexplore_obs::{phase, ObsSink};
 use flexplore_spec::{allocation_from_units, CompiledSpec, SpecificationGraph, UnitMask};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Options for [`explore`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -190,22 +192,23 @@ pub(crate) struct ExploreCapture {
     pub binds: Vec<(UnitMask, Option<Implementation>)>,
 }
 
-/// [`explore_compiled_obs`] extended with the warm-start hooks, which the
-/// `warmstart` module fills from a cache entry and the spec delta:
+/// [`explore_compiled_obs`] extended with the hooks of the warm-start
+/// cache and of [`explore_upgrades`](crate::explore_upgrades):
 ///
-/// * `replay` — cached candidate rows and enumeration counters, used
-///   instead of walking the lattice (the *replay* level; sound only when
-///   no unit's enumeration signature changed, because the enumeration is
-///   deterministic);
+/// * `rows` — candidate rows and enumeration counters used instead of
+///   walking the lattice: a cache entry's rows (the *replay* level; sound
+///   only when no unit's enumeration signature changed, because the
+///   enumeration is deterministic), or the rows that contain an upgrade's
+///   base;
 /// * `cached_binds` — bind outcomes keyed by candidate unit mask,
 ///   consulted before the binding solver (`None` records "attempted,
 ///   infeasible");
 /// * `capture` — hand back what the exploration cache persists.
 ///
-/// With no replay, no cached binds and capture off this *is* the cold path
-/// — same work, same counters. Walked or replayed, the rows go through the
-/// same bind loop: the bound is a row's estimate value, and an allocation
-/// is rebuilt from a row's mask only when the solver runs on it.
+/// With no rows, no cached binds and capture off this *is* the cold path
+/// — same work, same counters. Walked or handed in, the rows go through
+/// the same bind loop: the bound is a row's estimate value, and an
+/// allocation is rebuilt from a row's mask only when the solver runs on it.
 ///
 /// Determinism: cached bind outcomes are a pure function of the candidate
 /// mask, so replaying them changes which attempts pay solver time, never
@@ -216,20 +219,19 @@ pub(crate) fn explore_inner(
     compiled: &CompiledSpec<'_>,
     options: &ExploreOptions,
     obs: &ObsSink,
-    replay: Option<(Vec<CandidateRow>, AllocationStats)>,
+    rows: Option<(Vec<CandidateRow>, AllocationStats)>,
     cached_binds: &HashMap<UnitMask, Option<Implementation>>,
     capture: bool,
 ) -> Result<(ExploreResult, Option<ExploreCapture>), ExploreError> {
     let timer = obs.start();
-    let (rows, alloc_stats) = match replay {
-        Some(replay) => replay,
+    let (rows, alloc_stats) = match rows {
+        Some(rows) => rows,
         None => {
             let out = enumerate(compiled, &options.allocation, obs)?;
             (out.rows, out.stats)
         }
     };
     obs.finish(phase::ENUMERATE, timer);
-    let units = allocatable_units(compiled.spec());
     let mut stats = ExploreStats {
         vertex_set_size: compiled.spec().vertex_set_size(),
         allocations: alloc_stats,
@@ -238,24 +240,17 @@ pub(crate) fn explore_inner(
     let mut bind_hits: u64 = 0;
     let mut bind_out: Vec<(UnitMask, Option<Implementation>)> = Vec::new();
     let mut front = ParetoFront::new();
-    // One ECA-setup cache for the whole run: sibling candidates that
-    // activate the same cluster set share one enumeration (and, when
-    // speculating, share it across workers).
     let batch = BindingBatch::new();
+    let solve = implement_rows(compiled, &rows, &options.implement, &batch, obs);
     bind_merge(
         rows.len(),
         options,
         obs,
         &mut stats,
         |i| rows[i].value,
-        |i| {
-            if let Some(cached) = cached_binds.get(&rows[i].mask) {
-                return Ok(cached.clone());
-            }
-            let allocation = allocation_from_units(&units, rows[i].mask);
-            let (implemented, _) =
-                implement_allocation(compiled, &allocation, &options.implement, Some(&batch), obs)?;
-            Ok(implemented)
+        |i| match cached_binds.get(&rows[i].mask) {
+            Some(cached) => Ok(cached.clone()),
+            None => solve(i),
         },
         // Warm-hit accounting happens here, over exactly the attempts the
         // sequential run makes, so it is thread-invariant.
@@ -267,19 +262,21 @@ pub(crate) fn explore_inner(
                 bind_out.push((rows[i].mask, implemented.clone()));
             }
             let Some(implementation) = implemented else {
-                return f_cur;
+                return Ok(ControlFlow::Continue(f_cur));
             };
             let flexibility = implementation.flexibility;
             let timer = obs.start();
             let inserted = front.insert(DesignPoint::from_implementation(implementation));
             obs.finish(phase::PARETO, timer);
-            if inserted {
+            Ok(ControlFlow::Continue(if inserted {
                 f_cur.max(flexibility)
             } else {
                 f_cur
-            }
+            }))
         },
     )?;
+    // `solve` borrows the rows, which the capture takes.
+    drop(solve);
     stats.pareto_points = front.len() as u64;
     stats.allocations.warm_hits += bind_hits;
     obs.batch_bind(batch.hits());
@@ -291,14 +288,33 @@ pub(crate) fn explore_inner(
     Ok((ExploreResult { front, stats }, captured))
 }
 
+/// The solver call of the bind loop over `rows`: rebuilds row `i`'s
+/// allocation from its mask and implements it. One `batch` per run lets
+/// sibling candidates that activate the same cluster set share one ECA
+/// enumeration (across workers, when speculating).
+pub(crate) fn implement_rows<'a>(
+    compiled: &'a CompiledSpec<'a>,
+    rows: &'a [CandidateRow],
+    options: &'a ImplementOptions,
+    batch: &'a BindingBatch,
+    obs: &'a ObsSink,
+) -> impl Fn(usize) -> Result<Option<Implementation>, ExploreError> + Sync + 'a {
+    let units = allocatable_units(compiled.spec());
+    move |i| {
+        let allocation = allocation_from_units(&units, rows[i].mask);
+        Ok(implement_allocation(compiled, &allocation, options, Some(batch), obs)?.0)
+    }
+}
+
 /// The cost-ordered bind/merge loop of EXPLORE, generic over the pruning
 /// bound (the integer flexibility of [`explore`], the weighted
-/// flexibility of [`explore_weighted`](crate::explore_weighted)).
+/// flexibility of [`explore_weighted`](crate::explore_weighted)) and over
+/// what a merged implementation means to the caller.
 ///
 /// Candidates `0..len` arrive in cost order; `bound(i)` is candidate `i`'s
 /// optimistic estimate. With `options.flexibility_pruning`, a candidate
-/// whose bound does not exceed the best implemented value so far (`f_cur`,
-/// starting at the bound's default of 0) is skipped. Survivors are
+/// whose bound does not exceed the best value so far (`f_cur`, starting
+/// at the bound's default of 0) is skipped. Survivors are
 /// gathered into chunks — one candidate at one thread, up to
 /// `options.threads × SPECULATION_DEPTH` when speculating — and
 /// `implement(i)` runs over each chunk on the work-stealing fan-out
@@ -307,7 +323,9 @@ pub(crate) fn explore_inner(
 /// merge re-checks every result in cost order against the exact current
 /// bound, discards the ones the sequential run never computes (errors
 /// included) as speculative waste, and hands the rest to
-/// `merge(i, implemented, f_cur)`, which returns the new bound.
+/// `merge(i, implemented, f_cur)`. The merge returns the new bound, or
+/// breaks to end the loop there (the rest of the chunk is dropped); its
+/// errors end the loop too.
 ///
 /// Fills the bind-stage fields of `stats`: `estimate_skipped`,
 /// `implement_attempts`, `feasible`, `chunks_speculated` and
@@ -324,7 +342,7 @@ pub(crate) fn bind_merge<B, I, M>(
 where
     B: Copy + Default + PartialOrd,
     I: Fn(usize) -> Result<Option<Implementation>, ExploreError> + Sync,
-    M: FnMut(usize, Option<Implementation>, B) -> B,
+    M: FnMut(usize, Option<Implementation>, B) -> Result<ControlFlow<(), B>, ExploreError>,
 {
     let threads = resolve_threads(options.threads);
     let pruning = options.flexibility_pruning;
@@ -363,7 +381,10 @@ where
             stats.implement_attempts += 1;
             let implemented = outcome?;
             stats.feasible += u64::from(implemented.is_some());
-            f_cur = merge(i, implemented, f_cur);
+            match merge(i, implemented, f_cur)? {
+                ControlFlow::Continue(bound) => f_cur = bound,
+                ControlFlow::Break(()) => return Ok(()),
+            }
         }
     }
     Ok(())

@@ -51,22 +51,22 @@
 //! id is its index in the deferral order, and the scheduler returns
 //! results in sequence order however the steals interleaved, so the merge
 //! replays the sequential schedule exactly. Every item runs with fresh
-//! trackers and a fresh *local* memo re-initialized from the item's
-//! `(mask, depth)` alone; local misses additionally probe a [`ShardedMemo`]
-//! shared across workers. A shared hit returns byte-identical data to the
-//! materialization it replaces (estimates are pure in the relevant
-//! submask), and the local memo's contents evolve identically either way,
-//! so the local hit/miss sequence — and with it `estimate_memo_hits` and
-//! `estimate_delta_pushes` — depends only on the fixed decomposition,
-//! never on how items land on threads. Cross-task reuse is counted at
-//! merge time instead: replaying each task's first-miss keys in sequence
-//! order against a global seen-set yields `memo_cross_hits`, a
-//! thread-invariant total that equals the shared memo's actual hit count
-//! on a sequential run. Only *which worker pays* each materialization (and
-//! therefore the `enumerate.estimate` phase timing split) is
-//! timing-dependent. The final candidate list is sorted by `(cost,
-//! estimate desc, original unit mask)`, which reproduces the flat scan's
-//! stable sort over mask-ascending insertion byte for byte.
+//! trackers positioned from its `(mask, depth)` alone. All walks share one
+//! estimate memo, the scan-wide [`ShardedMemo`]: an estimate is a pure
+//! function of its relevant submask, so a hit returns byte-identical data
+//! to the materialization it replaces, and timing decides only *which*
+//! worker pays each materialization (and with it the `enumerate.estimate`
+//! phase timing split). The memo counters are therefore read off the fixed
+//! decomposition, not the hit sequence: `estimate_memo_hits` is phase 1's
+//! lookups minus the keys phase 1 materialized, and `memo_cross_hits` is
+//! phase 2's lookups minus the keys phase 2 added. Lookup counts and the
+//! memo's final key set are the same at every thread count.
+//! `estimate_delta_pushes` counts the tracker pushes along the DFS path and
+//! at tracker set-up; the transient pushes that materialize a fill subset
+//! happen only on a memo miss, so they are left out. The final candidate
+//! list is sorted by `(cost, estimate desc, original unit mask)`, which
+//! reproduces the flat scan's stable sort over mask-ascending insertion
+//! byte for byte.
 //!
 //! # Static-analysis pruning
 //!
@@ -102,7 +102,6 @@ use flexplore_flex::{DeltaEstimator, DeltaIndex, FlexibilityEstimate};
 use flexplore_lint::AnalysisFacts;
 use flexplore_obs::{phase, ObsSink};
 use flexplore_spec::{CompiledSpec, Cost, Unit, UnitMask, UnitMasks};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -223,7 +222,6 @@ struct Ctx<'a> {
 struct State<'a> {
     kept: Vec<(CandidateRow, Estimate)>,
     stats: AllocationStats,
-    memo: HashMap<UnitMask, Estimate>,
     /// Delta tracker of the decided subset `mask`.
     current: DeltaEstimator<'a>,
     /// Delta tracker of `mask | rest` — the monotone infeasibility bound.
@@ -231,10 +229,11 @@ struct State<'a> {
     /// Expansion steps active on the DFS path; every emission below them
     /// materializes the full equivalent-subset family.
     expansions: Vec<Expansion>,
-    /// Relevant-submask keys in first-local-miss order. The merge replays
-    /// these sequences in sequence-id order to count `memo_cross_hits`
-    /// deterministically (see the module docs).
-    miss_keys: Vec<UnitMask>,
+    /// Estimate lookups this walk made, hits and misses alike.
+    lookups: u64,
+    /// Pushes that moved `current` to a fill subset only to materialize
+    /// its estimate; excluded from `estimate_delta_pushes`.
+    transient_pushes: u64,
     estimate_calls: u64,
     estimate_wall: Duration,
 }
@@ -254,11 +253,11 @@ impl<'a> State<'a> {
         State {
             kept: Vec::new(),
             stats: AllocationStats::default(),
-            memo: HashMap::new(),
             current,
             optimistic,
             expansions: Vec::new(),
-            miss_keys: Vec::new(),
+            lookups: 0,
+            transient_pushes: 0,
             estimate_calls: 0,
             estimate_wall: Duration::ZERO,
         }
@@ -267,7 +266,8 @@ impl<'a> State<'a> {
     /// Records this walk's delta pushes into its stats; call once when the
     /// walk is done, before absorbing.
     fn seal(&mut self) {
-        self.stats.estimate_delta_pushes = self.current.pushes() + self.optimistic.pushes();
+        self.stats.estimate_delta_pushes =
+            self.current.pushes() + self.optimistic.pushes() - self.transient_pushes;
     }
 
     /// Folds a phase-2 item's results into the phase-1 accumulator.
@@ -280,40 +280,45 @@ impl<'a> State<'a> {
         s.kept += o.kept;
         s.nodes_visited += o.nodes_visited;
         s.subtrees_pruned += o.subtrees_pruned;
-        s.estimate_memo_hits += o.estimate_memo_hits;
         s.estimate_delta_pushes += o.estimate_delta_pushes;
         s.analysis_mandatory_forced += o.analysis_mandatory_forced;
         s.analysis_subtrees_skipped += o.analysis_subtrees_skipped;
         s.symmetry_orbit_expansions += o.symmetry_orbit_expansions;
+        self.lookups += other.lookups;
         self.estimate_calls += other.estimate_calls;
         self.estimate_wall += other.estimate_wall;
     }
 
-    /// Memoized full estimate for the subset the `current` tracker is at.
-    /// Local misses probe the scan-wide [`ShardedMemo`] before
-    /// materializing from the tracker — only actual materializations count
-    /// into the `enumerate.estimate` phase. Either way the key joins the
-    /// local memo, so the local hit/miss sequence is schedule-independent.
-    fn estimate_here(&mut self, ctx: &Ctx<'_>, mask: UnitMask) -> Estimate {
-        let key = mask & ctx.masks.estimate_relevant_mask();
-        if let Some(found) = self.memo.get(&key) {
-            self.stats.estimate_memo_hits += 1;
-            return found.clone();
-        }
-        self.miss_keys.push(key);
+    /// The estimate of `current ∪ sub`, whose relevant submask is `key`:
+    /// from the scan-wide [`ShardedMemo`] when some walk already
+    /// materialized it, else materialized from `current` moved by `sub`
+    /// and back. Only materializations count into the
+    /// `enumerate.estimate` phase.
+    fn estimate(&mut self, ctx: &Ctx<'_>, key: UnitMask, sub: UnitMask) -> Estimate {
+        self.lookups += 1;
         if let Some(found) = ctx.shared.get(&key) {
-            self.memo.insert(key, found.clone());
             return found;
         }
+        self.current.push_mask(sub);
+        self.transient_pushes += u64::from(sub.count_ones());
         let started = ctx.observe.then(Instant::now);
         let est = Arc::new(self.current.materialize());
         if let Some(started) = started {
             self.estimate_calls += 1;
             self.estimate_wall += started.elapsed();
         }
-        self.memo.insert(key, est.clone());
+        self.current.pop_mask(sub);
         ctx.shared.insert_if_absent(key, est.clone());
         est
+    }
+
+    /// The estimate of the subset `mask` the `current` tracker is at.
+    fn estimate_here(&mut self, ctx: &Ctx<'_>, mask: UnitMask) -> Estimate {
+        self.estimate(
+            ctx,
+            mask & ctx.masks.estimate_relevant_mask(),
+            UnitMask::empty(),
+        )
     }
 }
 
@@ -389,12 +394,17 @@ pub(crate) fn bnb_scan(
         1,
     );
     state.seal();
+    // The memo counters come from the fixed decomposition (see the module
+    // docs): lookups minus the keys added, per phase.
+    let phase1_keys = shared.len() as u64;
+    state.stats.estimate_memo_hits = state.lookups - phase1_keys;
+    state.lookups = 0;
 
     // Phase 2: deferred subtrees and fill blocks, fanned out over the
-    // work-stealing scheduler with fresh trackers and a fresh local memo
-    // per item. The weight is a monotone proxy for the subtree size (a
-    // shallower root owns exponentially more of the lattice), used only
-    // for the heaviest-first deal — stealing rebalances the rest.
+    // work-stealing scheduler with fresh trackers per item. The weight is
+    // a monotone proxy for the subtree size (a shallower root owns
+    // exponentially more of the lattice), used only for the
+    // heaviest-first deal — stealing rebalances the rest.
     let threads = options.threads.max(1);
     let weight = |_: usize, item: &Pending| match item {
         Pending::Expand { depth, .. } | Pending::Fill { depth, .. } => (n - depth + 1) as u64,
@@ -439,22 +449,11 @@ pub(crate) fn bnb_scan(
         st.seal();
         st
     });
-    // Merge in sequence order. Cross-task memo reuse is counted here, by
-    // replaying each task's first-miss keys against a global seen-set
-    // seeded with the phase-1 walk's misses: a repeated key is one
-    // materialization the shared memo saves a sequential run — the same
-    // total at every thread count.
-    let mut seen: HashSet<UnitMask> = state.miss_keys.iter().copied().collect();
-    let mut cross_hits: u64 = 0;
+    // Merge in sequence order.
     for st in results {
-        for key in &st.miss_keys {
-            if !seen.insert(*key) {
-                cross_hits += 1;
-            }
-        }
         state.absorb(st);
     }
-    state.stats.memo_cross_hits = cross_hits;
+    state.stats.memo_cross_hits = state.lookups - (shared.len() as u64 - phase1_keys);
     obs.add_time(
         phase::ENUMERATE_ESTIMATE,
         state.estimate_calls,
@@ -801,32 +800,7 @@ fn fill(ctx: &Ctx<'_>, st: &mut State<'_>, mask: UnitMask, depth: usize, cost: C
     let rest = rest_mask(ctx.n, depth);
     let mut sub = rest;
     loop {
-        let key = (mask | sub) & ctx.masks.estimate_relevant_mask();
-        let est = if let Some(found) = st.memo.get(&key) {
-            st.stats.estimate_memo_hits += 1;
-            found.clone()
-        } else {
-            st.miss_keys.push(key);
-            // The tracker moves even when the shared memo answers: the
-            // pushes are cheap, and keeping them schedule-independent is
-            // what keeps `estimate_delta_pushes` thread-invariant.
-            st.current.push_mask(sub);
-            let est = if let Some(found) = ctx.shared.get(&key) {
-                found
-            } else {
-                let started = ctx.observe.then(Instant::now);
-                let est = Arc::new(st.current.materialize());
-                if let Some(started) = started {
-                    st.estimate_calls += 1;
-                    st.estimate_wall += started.elapsed();
-                }
-                ctx.shared.insert_if_absent(key, est.clone());
-                est
-            };
-            st.current.pop_mask(sub);
-            st.memo.insert(key, est.clone());
-            est
-        };
+        let est = st.estimate(ctx, (mask | sub) & ctx.masks.estimate_relevant_mask(), sub);
         emit(ctx, st, mask | sub, cost + ctx.masks.mask_cost(sub), est);
         if sub.is_empty() {
             break;

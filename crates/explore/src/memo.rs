@@ -2,10 +2,10 @@
 //!
 //! The lattice search memoizes flexibility estimates by *relevant
 //! submask* (the allocation mask restricted to units that can influence
-//! the estimate). Before the scheduler rewrite each parallel subtree
-//! carried a private memo, so identical submasks reached by different
-//! workers were re-estimated once per worker. [`ShardedMemo`] is the
-//! shared replacement: a fixed array of mutex-striped hash maps, with the
+//! the estimate). [`ShardedMemo`] is the one memo of a scan: every walk,
+//! the sequential prefix walk and each parallel subtree alike, looks its
+//! estimates up here, so an estimate any worker materialized is never
+//! recomputed. It is a fixed array of mutex-striped hash maps, with the
 //! stripe chosen by mixing the mask words, so concurrent workers rarely
 //! contend on the same lock.
 //!
@@ -13,9 +13,9 @@
 //! (estimates depend only on the relevant submask), so a cross-worker
 //! hit returns byte-identical data to what the local materialization
 //! would have produced. Timing changes *which* worker pays the
-//! materialization cost, never the cached value — the property suite in
-//! `tests/steal.rs` hammers this from many threads and then compares
-//! against a sequential reference memo.
+//! materialization cost, never the cached value, and never the final key
+//! set — the property suite in `tests/steal.rs` hammers this from many
+//! threads and then compares against a sequential reference memo.
 
 use flexplore_spec::UnitMask;
 use std::collections::HashMap;

@@ -3,18 +3,20 @@
 //! Platform architects rarely need the whole front at once; the two
 //! everyday questions are *"what is the cheapest platform that implements
 //! at least this much flexibility?"* and *"how much flexibility fits into
-//! this budget?"*. Both run the same cost-ordered candidate sweep as
-//! [`explore`](crate::explore) but terminate early, so they are cheaper
-//! than computing the full front and reading it off.
+//! this budget?"*. Both run [`explore`](crate::explore)'s cost-ordered
+//! bind loop (threads included) but stop early or bind only a prefix of
+//! the candidates, so they are cheaper than computing the full front and
+//! reading it off.
 
-use crate::allocations::possible_resource_allocations;
+use crate::allocations::enumerate;
 use crate::error::ExploreError;
-use crate::explore::ExploreOptions;
+use crate::explore::{bind_merge, implement_rows, ExploreOptions, ExploreStats};
 use crate::pareto::DesignPoint;
-use flexplore_bind::implement_allocation;
+use flexplore_bind::BindingBatch;
 use flexplore_flex::Flexibility;
 use flexplore_obs::ObsSink;
 use flexplore_spec::{CompiledSpec, Cost, SpecificationGraph};
+use std::ops::ControlFlow;
 
 /// Finds the cheapest implementation with flexibility at least `target`.
 ///
@@ -33,28 +35,34 @@ pub fn min_cost_for_flexibility(
     options: &ExploreOptions,
 ) -> Result<Option<DesignPoint>, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
-    let (candidates, _) =
-        possible_resource_allocations(&compiled, &options.allocation, &ObsSink::disabled())?;
-    for candidate in &candidates {
-        // The estimate is an upper bound: candidates that cannot reach the
-        // target are skipped without invoking the solver.
-        if options.flexibility_pruning && candidate.estimate.value < target {
-            continue;
-        }
-        let (implemented, _) = implement_allocation(
-            &compiled,
-            &candidate.allocation,
-            &options.implement,
-            None,
-            &ObsSink::disabled(),
-        )?;
-        if let Some(implementation) = implemented {
-            if implementation.flexibility >= target {
-                return Ok(Some(DesignPoint::from_implementation(implementation)));
+    let obs = ObsSink::disabled();
+    let rows = enumerate(&compiled, &options.allocation, &obs)?.rows;
+    let batch = BindingBatch::new();
+    let mut found = None;
+    bind_merge(
+        rows.len(),
+        options,
+        &obs,
+        &mut ExploreStats::default(),
+        // The estimate is an upper bound: a candidate that cannot reach
+        // the target gets bound 0 and is skipped without a solver call.
+        |i| {
+            if rows[i].value >= target {
+                rows[i].value
+            } else {
+                0
             }
-        }
-    }
-    Ok(None)
+        },
+        implement_rows(&compiled, &rows, &options.implement, &batch, &obs),
+        |_, implemented, f_cur| match implemented {
+            Some(implementation) if implementation.flexibility >= target => {
+                found = Some(DesignPoint::from_implementation(implementation));
+                Ok(ControlFlow::Break(()))
+            }
+            _ => Ok(ControlFlow::Continue(f_cur)),
+        },
+    )?;
+    Ok(found)
 }
 
 /// Finds the most flexible implementation costing at most `budget`.
@@ -72,30 +80,28 @@ pub fn max_flexibility_under_budget(
     options: &ExploreOptions,
 ) -> Result<Option<DesignPoint>, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
-    let (candidates, _) =
-        possible_resource_allocations(&compiled, &options.allocation, &ObsSink::disabled())?;
-    let mut best: Option<DesignPoint> = None;
-    for candidate in &candidates {
-        if candidate.cost > budget {
-            break; // cost-ordered: nothing affordable follows
-        }
-        let incumbent = best.as_ref().map_or(0, |b| b.flexibility);
-        if options.flexibility_pruning && candidate.estimate.value <= incumbent {
-            continue;
-        }
-        let (implemented, _) = implement_allocation(
-            &compiled,
-            &candidate.allocation,
-            &options.implement,
-            None,
-            &ObsSink::disabled(),
-        )?;
-        if let Some(implementation) = implemented {
-            if implementation.flexibility > incumbent {
+    let obs = ObsSink::disabled();
+    let rows = enumerate(&compiled, &options.allocation, &obs)?.rows;
+    // Cost-ordered: the affordable candidates are a prefix.
+    let affordable = rows.partition_point(|row| row.cost <= budget);
+    let batch = BindingBatch::new();
+    let mut best = None;
+    bind_merge(
+        affordable,
+        options,
+        &obs,
+        &mut ExploreStats::default(),
+        |i| rows[i].value,
+        implement_rows(&compiled, &rows, &options.implement, &batch, &obs),
+        |_, implemented, f_cur| match implemented {
+            Some(implementation) if implementation.flexibility > f_cur => {
+                let flexibility = implementation.flexibility;
                 best = Some(DesignPoint::from_implementation(implementation));
+                Ok(ControlFlow::Continue(flexibility))
             }
-        }
-    }
+            _ => Ok(ControlFlow::Continue(f_cur)),
+        },
+    )?;
     Ok(best)
 }
 

@@ -17,17 +17,18 @@
 //! [`ImplementOptions::with_excluded_resources`] — the same machinery the
 //! run-time manager uses for degraded rebinding.
 
-use crate::allocations::possible_resource_allocations;
+use crate::allocations::enumerate;
 use crate::error::ExploreError;
-use crate::explore::ExploreOptions;
+use crate::explore::{bind_merge, implement_rows, ExploreOptions, ExploreStats};
 use crate::parallel::{resolve_threads, run_stealing, SPECULATION_DEPTH};
-use flexplore_bind::{implement_allocation, ImplementOptions, Implementation};
+use flexplore_bind::{implement_allocation, BindingBatch, ImplementOptions, Implementation};
 use flexplore_flex::Flexibility;
 use flexplore_hgraph::{ClusterId, VertexId};
 use flexplore_obs::{phase, ObsSink};
 use flexplore_spec::{CompiledSpec, Cost, SpecificationGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// One independently-failing resource unit of an allocation: a directly
 /// allocated vertex (processor, bus, ASIC), or an allocated cluster (a
@@ -273,40 +274,30 @@ pub fn explore_resilient(
     obs: &ObsSink,
 ) -> Result<Vec<ResilientDesignPoint>, ExploreError> {
     let timer = obs.start();
-    let (candidates, _) = possible_resource_allocations(compiled, &options.allocation, obs)?;
+    let rows = enumerate(compiled, &options.allocation, obs)?.rows;
     obs.finish(phase::ENUMERATE, timer);
     let threads = resolve_threads(options.threads);
+    // Every candidate is implemented: the flexibility bound says nothing
+    // about resilience, so no speculation is wasted either.
+    let unpruned = ExploreOptions {
+        flexibility_pruning: false,
+        ..options.clone()
+    };
+    let batch = BindingBatch::new();
+    let mut stats = ExploreStats::default();
     let mut front: Vec<ResilientDesignPoint> = Vec::new();
-    let mut implement_attempts = 0u64;
-    let mut feasible = 0u64;
     let mut kill_evaluations = 0u64;
-    // First fan-out: implement candidate batches concurrently, merge in
-    // cost order (no pruning bound here, so no speculation is wasted).
-    for batch in candidates.chunks(threads.saturating_mul(SPECULATION_DEPTH).max(1)) {
-        let timer = obs.start();
-        let outcomes = run_stealing(
-            batch,
-            threads,
-            obs,
-            |_, _| 1,
-            |candidate| {
-                implement_allocation(
-                    compiled,
-                    &candidate.allocation,
-                    &options.implement,
-                    None,
-                    obs,
-                )
-            },
-        );
-        obs.finish(phase::BIND, timer);
-        for outcome in outcomes {
-            implement_attempts += 1;
-            let (implemented, _) = outcome?;
+    bind_merge(
+        rows.len(),
+        &unpruned,
+        obs,
+        &mut stats,
+        |i| rows[i].value,
+        implement_rows(compiled, &rows, &options.implement, &batch, obs),
+        |_, implemented, f_cur| {
             let Some(implementation) = implemented else {
-                continue;
+                return Ok(ControlFlow::Continue(f_cur));
             };
-            feasible += 1;
             // Second fan-out: the kill-set sweep of this implementation.
             let sweep = k_resilient_flexibility(
                 compiled,
@@ -331,13 +322,15 @@ pub fn explore_resilient(
                 front.push(point);
             }
             obs.finish(phase::PARETO, timer);
-        }
-    }
+            Ok(ControlFlow::Continue(f_cur))
+        },
+    )?;
+    obs.batch_bind(batch.hits());
     front.sort_by_key(|p| (p.cost, p.flexibility, p.resilience));
     if obs.is_enabled() {
-        obs.set_count("possible_allocations", candidates.len() as u64);
-        obs.set_count("implement_attempts", implement_attempts);
-        obs.set_count("feasible", feasible);
+        obs.set_count("possible_allocations", rows.len() as u64);
+        obs.set_count("implement_attempts", stats.implement_attempts);
+        obs.set_count("feasible", stats.feasible);
         obs.set_count("kill_evaluations", kill_evaluations);
         obs.set_count("pareto_points", front.len() as u64);
     }

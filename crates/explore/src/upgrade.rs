@@ -10,13 +10,12 @@
 //! implementable (supersets never lose feasible modes; see the
 //! monotonicity property tests).
 
-use crate::allocations::possible_resource_allocations;
+use crate::allocations::{allocatable_units, enumerate, Unit};
 use crate::error::ExploreError;
-use crate::explore::{ExploreOptions, ExploreResult, ExploreStats};
-use crate::pareto::{DesignPoint, ParetoFront};
-use flexplore_bind::implement_allocation;
+use crate::explore::{explore_inner, ExploreOptions, ExploreResult};
 use flexplore_obs::ObsSink;
-use flexplore_spec::{CompiledSpec, ResourceAllocation, SpecificationGraph};
+use flexplore_spec::{CompiledSpec, ResourceAllocation, SpecificationGraph, UnitMask};
+use std::collections::HashMap;
 
 /// Explores the flexibility/cost front over all allocations that contain
 /// `base`.
@@ -33,42 +32,32 @@ pub fn explore_upgrades(
     options: &ExploreOptions,
 ) -> Result<ExploreResult, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
-    let (candidates, alloc_stats) =
-        possible_resource_allocations(&compiled, &options.allocation, &ObsSink::disabled())?;
-    let mut stats = ExploreStats {
-        vertex_set_size: spec.vertex_set_size(),
-        allocations: alloc_stats,
-        ..ExploreStats::default()
-    };
-    let mut front = ParetoFront::new();
-    let mut f_cur = 0;
-    for candidate in &candidates {
-        if !candidate.allocation.contains(base) {
-            continue;
-        }
-        if options.flexibility_pruning && candidate.estimate.value <= f_cur {
-            stats.estimate_skipped += 1;
-            continue;
-        }
-        stats.implement_attempts += 1;
-        let (implemented, _) = implement_allocation(
-            &compiled,
-            &candidate.allocation,
-            &options.implement,
-            None,
-            &ObsSink::disabled(),
-        )?;
-        let Some(implementation) = implemented else {
-            continue;
-        };
-        stats.feasible += 1;
-        let flexibility = implementation.flexibility;
-        if front.insert(DesignPoint::from_implementation(implementation)) {
-            f_cur = f_cur.max(flexibility);
-        }
-    }
-    stats.pareto_points = front.len() as u64;
-    Ok(ExploreResult { front, stats })
+    let obs = ObsSink::disabled();
+    let out = enumerate(&compiled, &options.allocation, &obs)?;
+    // The base as a unit mask; a base holding anything that is not an
+    // allocatable unit is contained in no candidate.
+    let units = allocatable_units(spec);
+    let base_units = base.vertices.iter().map(|&v| Unit::Vertex(v));
+    let base_mask = base_units
+        .chain(base.clusters.iter().map(|&c| Unit::Cluster(c)))
+        .try_fold(UnitMask::empty(), |mask, unit| {
+            let k = units.iter().position(|&u| u == unit)?;
+            Some(mask | UnitMask::bit(k))
+        });
+    let rows = out
+        .rows
+        .into_iter()
+        .filter(|row| base_mask.is_some_and(|base| base.andnot(row.mask).is_empty()))
+        .collect();
+    let (result, _) = explore_inner(
+        &compiled,
+        options,
+        &obs,
+        Some((rows, out.stats)),
+        &HashMap::new(),
+        false,
+    )?;
+    Ok(result)
 }
 
 #[cfg(test)]

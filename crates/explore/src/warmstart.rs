@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Version stamp of the on-disk cache format. Bumped on any change to the
 /// line layout or the semantics of a persisted field; readers reject (with
 /// a warning, degrading to cold) any file whose stamp differs.
-pub const CACHE_FORMAT: u32 = 2;
+pub const CACHE_FORMAT: u32 = 3;
 
 /// File-kind marker, so an unrelated JSON file dropped into the cache
 /// directory is rejected by content, not just by name.
@@ -560,7 +560,8 @@ impl ExploreCache {
     }
 
     /// Explores `spec`, warm-starting from the best usable persisted entry
-    /// and refreshing the cache with the run's artifacts.
+    /// and refreshing the cache with the run's artifacts (an exact hit
+    /// leaves its entry file untouched).
     ///
     /// # Errors
     ///
@@ -593,8 +594,12 @@ impl ExploreCache {
         let hash = options_hash(options);
         let (prior, mut warnings) = self.load_best(&hash, &signature);
         let mut outcome = explore_warm(compiled, signature, options, prior.as_ref(), obs)?;
-        if let Err(w) = self.store(&hash, &outcome.entry) {
-            warnings.push(w);
+        // An exact hit was loaded from the file the entry would be stored
+        // under, and re-renders to the same bytes: nothing to write.
+        if outcome.summary.mode != WarmMode::Exact {
+            if let Err(w) = self.store(&hash, &outcome.entry) {
+                warnings.push(w);
+            }
         }
         warnings.append(&mut outcome.summary.warnings);
         outcome.summary.warnings = warnings;
@@ -877,6 +882,55 @@ mod tests {
         assert_eq!(rewritten.summary.mode, WarmMode::Exact);
         assert!(rewritten.summary.warnings.is_empty());
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn exact_hit_leaves_the_entry_file_untouched() {
+        use std::os::unix::fs::MetadataExt;
+        let dir =
+            std::env::temp_dir().join(format!("flexplore-warmstart-exact-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ExploreCache::new(&dir);
+        let s = spec(20, 80);
+        let options = ExploreOptions::paper();
+        let obs = ObsSink::disabled();
+        let cold = cache.explore(&s, &options, &obs).unwrap();
+        let path = dir.join(format!(
+            "{}-{}.json",
+            options_hash(&options),
+            cold.summary.fingerprint
+        ));
+        let before = fs::metadata(&path).unwrap();
+        let exact = cache.explore(&s, &options, &obs).unwrap();
+        assert_eq!(exact.summary.mode, WarmMode::Exact);
+        let after = fs::metadata(&path).unwrap();
+        assert_eq!(after.ino(), before.ino(), "the entry file was replaced");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A cache file nested far deeper than any entry is rejected by the
+    /// parser's depth limit: the run degrades to a warned cold run.
+    #[test]
+    fn deeply_nested_cache_file_degrades_to_a_warned_cold_run() {
+        let dir =
+            std::env::temp_dir().join(format!("flexplore-warmstart-deep-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ExploreCache::new(&dir);
+        let s = spec(20, 80);
+        let options = ExploreOptions::paper();
+        let obs = ObsSink::disabled();
+        let cold = cache.explore(&s, &options, &obs).unwrap();
+        let deep = format!("{}{}\n", "[".repeat(100_000), "]".repeat(100_000));
+        for entry in fs::read_dir(&dir).unwrap() {
+            fs::write(entry.unwrap().path(), &deep).unwrap();
+        }
+        let degraded = cache.explore(&s, &options, &obs).unwrap();
+        assert_eq!(degraded.summary.mode, WarmMode::Cold);
+        assert!(!degraded.summary.warnings.is_empty());
+        assert_eq!(front_json(&degraded), front_json(&cold));
         let _ = fs::remove_dir_all(&dir);
     }
 

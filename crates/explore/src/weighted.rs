@@ -14,14 +14,15 @@
 //! activatable clusters is still an upper bound on any implementation's
 //! weighted flexibility.
 
-use crate::allocations::possible_resource_allocations;
+use crate::allocations::enumerate;
 use crate::error::ExploreError;
-use crate::explore::{bind_merge, ExploreOptions, ExploreStats};
-use flexplore_bind::{implement_allocation, Implementation};
+use crate::explore::{bind_merge, implement_rows, ExploreOptions, ExploreStats};
+use flexplore_bind::{BindingBatch, Implementation};
 use flexplore_flex::{weighted_flexibility, FlexibilityWeights};
 use flexplore_obs::ObsSink;
 use flexplore_spec::{CompiledSpec, Cost, SpecificationGraph};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// A design point in `(cost, weighted flexibility)` space.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,46 +72,35 @@ pub fn explore_weighted(
 ) -> Result<WeightedExploreResult, ExploreError> {
     let compiled = CompiledSpec::with_activation_cache(spec);
     let disabled = ObsSink::disabled();
-    let (candidates, _) = possible_resource_allocations(&compiled, &options.allocation, &disabled)?;
+    let candidates = enumerate(&compiled, &options.allocation, &disabled)?;
+    let (rows, estimates) = (&candidates.rows, &candidates.estimates);
     let graph = spec.problem().graph();
+    let batch = BindingBatch::new();
     let mut front: Vec<WeightedPoint> = Vec::new();
     let mut stats = ExploreStats::default();
     bind_merge(
-        candidates.len(),
+        rows.len(),
         options,
         &disabled,
         &mut stats,
-        |i| {
-            weighted_flexibility(graph, weights, |c| {
-                candidates[i].estimate.activatable.contains(&c)
-            })
-        },
-        |i| {
-            let (implemented, _) = implement_allocation(
-                &compiled,
-                &candidates[i].allocation,
-                &options.implement,
-                None,
-                &disabled,
-            )?;
-            Ok(implemented)
-        },
+        |i| weighted_flexibility(graph, weights, |c| estimates[i].activatable.contains(&c)),
+        implement_rows(&compiled, rows, &options.implement, &batch, &disabled),
         |_, implemented, f_cur| {
             let Some(implementation) = implemented else {
-                return f_cur;
+                return Ok(ControlFlow::Continue(f_cur));
             };
             let value = weighted_flexibility(graph, weights, |c| {
                 implementation.covered_clusters.contains(&c)
             });
             if value <= f_cur {
-                return f_cur;
+                return Ok(ControlFlow::Continue(f_cur));
             }
             front.push(WeightedPoint {
                 cost: implementation.cost,
                 weighted_flexibility: value,
                 implementation,
             });
-            value
+            Ok(ControlFlow::Continue(value))
         },
     )?;
     // Candidates arrive cost-ordered with strict improvement required, so

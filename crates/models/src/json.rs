@@ -91,4 +91,13 @@ mod tests {
         assert!(spec_from_json("{not json").is_err());
         assert!(spec_from_json("{}").is_err());
     }
+
+    /// A hostile nesting depth is a parse error, not a stack overflow.
+    #[test]
+    fn deeply_nested_json_is_rejected() {
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let err = spec_from_json(&deep).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        assert!(spec_from_json_unvalidated(&deep).is_err());
+    }
 }

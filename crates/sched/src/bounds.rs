@@ -40,8 +40,10 @@ pub const PAPER_UTILIZATION_LIMIT: f64 = 0.69;
 /// ```
 #[must_use]
 pub fn fits_paper_limit(demand: Time, period: Time) -> bool {
-    // demand / period ≤ 69/100  ⇔  demand · 100 ≤ 69 · period
-    demand.as_ns() * 100 <= PAPER_UTILIZATION_LIMIT_PERCENT * period.as_ns()
+    // demand / period ≤ 69/100  ⇔  demand · 100 ≤ 69 · period, in u128
+    // so that no u64 operand can overflow it.
+    u128::from(demand.as_ns()) * 100
+        <= u128::from(PAPER_UTILIZATION_LIMIT_PERCENT) * u128::from(period.as_ns())
 }
 
 /// The Liu–Layland utilization bound for `n` tasks: `n (2^{1/n} − 1)`.
@@ -161,19 +163,35 @@ where
 {
     // Exact rational comparison: Σ c_i/p_i ≤ 69/100
     //   ⇔ Σ (c_i · 100 · Π_{j≠i} p_j) ≤ 69 · Π p_j
-    // To avoid overflow with many tasks we fall back to f64 beyond 4 tasks;
-    // the integer path keeps the paper's single-application checks exact.
+    // To avoid overflow with many tasks we fall back to f64 beyond 4 tasks,
+    // or when the products overflow u128 (periods near u64::MAX); the
+    // integer path keeps the paper's single-application checks exact.
     if demands.clone().count() <= 4 {
-        let prod: u128 = demands.clone().map(|(_, p)| p.as_ns() as u128).product();
-        if prod > 0 {
-            let lhs: u128 = demands
-                .map(|(c, p)| c.as_ns() as u128 * 100 * (prod / p.as_ns() as u128))
-                .sum();
-            return lhs <= PAPER_UTILIZATION_LIMIT_PERCENT as u128 * prod;
+        if let Some(fits) = paper_limit_exact(demands.clone()) {
+            return fits;
         }
-        return true;
     }
     total_utilization(demands) <= PAPER_UTILIZATION_LIMIT + 1e-12
+}
+
+/// The exact integer form of [`paper_limit_demands`], or `None` when an
+/// intermediate product overflows `u128`.
+fn paper_limit_exact<I>(mut demands: I) -> Option<bool>
+where
+    I: Iterator<Item = (Time, Time)> + Clone,
+{
+    let periods = || demands.clone().map(|(_, p)| u128::from(p.as_ns()));
+    if periods().any(|p| p == 0) {
+        return Some(true);
+    }
+    let prod = periods().try_fold(1u128, u128::checked_mul)?;
+    let lhs = demands.try_fold(0u128, |sum, (c, p)| {
+        let term = u128::from(c.as_ns())
+            .checked_mul(100)?
+            .checked_mul(prod / u128::from(p.as_ns()))?;
+        sum.checked_add(term)
+    })?;
+    Some(lhs <= u128::from(PAPER_UTILIZATION_LIMIT_PERCENT).checked_mul(prod)?)
 }
 
 #[cfg(test)]
@@ -268,6 +286,18 @@ mod tests {
         let s = set(&[(12, 100); 6]);
         assert!(!paper_limit_test(&s)); // 0.72 > 0.69
     }
+    /// Periods and demands at `u64::MAX` overflow the exact integer
+    /// products; the test falls back to the float path instead of
+    /// panicking (debug) or wrapping (release).
+    #[test]
+    fn paper_limit_survives_periods_at_u64_max() {
+        let max = u64::MAX;
+        assert!(paper_limit_test(&set(&[(1, max), (1, max), (1, max)])));
+        assert!(!paper_limit_test(&set(&[(max, max), (1, max)])));
+        assert!(!fits_paper_limit(Time::from_ns(max), Time::from_ns(max)));
+        assert!(fits_paper_limit(Time::from_ns(1), Time::from_ns(max)));
+    }
+
     #[test]
     fn harmonic_detection() {
         assert!(is_harmonic(&set(&[(1, 100), (1, 200), (1, 400)])));

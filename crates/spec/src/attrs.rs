@@ -45,6 +45,12 @@ impl Cost {
     pub const fn dollars(self) -> u64 {
         self.0
     }
+
+    /// The sum of two costs, or `None` when it does not fit in a `u64`.
+    #[must_use]
+    pub fn checked_add(self, rhs: Cost) -> Option<Cost> {
+        self.0.checked_add(rhs.0).map(Cost)
+    }
 }
 
 impl Add for Cost {

@@ -326,9 +326,16 @@ impl<'a> CompiledSpec<'a> {
             .cluster_ids()
             .map(|c| arch.leaves_of_cluster(c))
             .collect();
+        // Saturating: `unit_cost_total` reports a sum that does not fit.
         let arch_cluster_costs: Vec<Cost> = arch_cluster_leaves
             .iter()
-            .map(|leaves| leaves.iter().map(|&v| spec.architecture().cost(v)).sum())
+            .map(|leaves| {
+                leaves
+                    .iter()
+                    .map(|&v| spec.architecture().cost(v))
+                    .try_fold(Cost::ZERO, Cost::checked_add)
+                    .unwrap_or(Cost::new(u64::MAX))
+            })
             .collect();
 
         let resolve = |node: NodeRef| -> Vec<VertexId> {
@@ -439,7 +446,23 @@ impl<'a> CompiledSpec<'a> {
         &self.arch_cluster_leaves[c.index()]
     }
 
-    /// The total allocation cost of an architecture design cluster.
+    /// The exact summed cost of every allocatable unit (see
+    /// [`allocatable_units`]), or `None` when it does not fit in a `u64`.
+    /// Every allocation over those units costs at most this much, so when
+    /// it fits, no cost sum over units can overflow.
+    #[must_use]
+    pub fn unit_cost_total(&self) -> Option<Cost> {
+        let arch = self.spec.architecture();
+        let top = arch.graph().vertices_in(flexplore_hgraph::Scope::Top);
+        let leaves = self.arch_cluster_leaves.iter().flatten().copied();
+        top.chain(leaves)
+            .map(|v| arch.cost(v))
+            .try_fold(Cost::ZERO, Cost::checked_add)
+    }
+
+    /// The total allocation cost of an architecture design cluster
+    /// (`u64::MAX` when the sum does not fit; see
+    /// [`CompiledSpec::unit_cost_total`]).
     ///
     /// # Panics
     ///

@@ -6,9 +6,10 @@
 //! overhead, not search decisions.
 
 use flexplore::{
-    dual_slot_fpga, explore, explore_resilient, explore_weighted, set_top_box, synthetic_spec,
+    dual_slot_fpga, explore, explore_resilient, explore_upgrades, explore_weighted,
+    max_flexibility_under_budget, min_cost_for_flexibility, set_top_box, synthetic_spec,
     tv_decoder, AllocationOptions, CompiledSpec, ExploreOptions, ExploreStats, FlexibilityWeights,
-    ObsSink, SpecificationGraph, SyntheticConfig,
+    ObsSink, ResourceAllocation, SpecificationGraph, SyntheticConfig,
 };
 
 /// The base options with `threads` applied to both the candidate scan and
@@ -33,6 +34,28 @@ fn assert_pruning_stats_match(sequential: &ExploreStats, parallel: &ExploreStats
     assert_eq!(sequential.implement_attempts, parallel.implement_attempts);
     assert_eq!(sequential.feasible, parallel.feasible);
     assert_eq!(sequential.pareto_points, parallel.pareto_points);
+}
+
+/// The seven bundled models the CLI knows by name.
+fn bundled_models() -> Vec<(&'static str, SpecificationGraph)> {
+    vec![
+        ("set-top-box", set_top_box().spec),
+        ("tv-decoder", tv_decoder().spec),
+        ("dual-slot-fpga", dual_slot_fpga().spec),
+        (
+            "synthetic-small",
+            synthetic_spec(&SyntheticConfig::small(7)),
+        ),
+        (
+            "synthetic-medium",
+            synthetic_spec(&SyntheticConfig::medium(11)),
+        ),
+        (
+            "synthetic-large",
+            synthetic_spec(&SyntheticConfig::large(11)),
+        ),
+        ("synthetic-wide", synthetic_spec(&SyntheticConfig::wide(13))),
+    ]
 }
 
 fn option_variants() -> Vec<(&'static str, ExploreOptions)> {
@@ -140,27 +163,9 @@ fn one_thread_never_speculates() {
     // At one thread the bind/merge loop takes one bound-surviving
     // candidate at a time: no chunk is speculative and no result is
     // discarded, for both the integer and the weighted bound.
-    let models: Vec<(&str, SpecificationGraph)> = vec![
-        ("set-top-box", set_top_box().spec),
-        ("tv-decoder", tv_decoder().spec),
-        ("dual-slot-fpga", dual_slot_fpga().spec),
-        (
-            "synthetic-small",
-            synthetic_spec(&SyntheticConfig::small(7)),
-        ),
-        (
-            "synthetic-medium",
-            synthetic_spec(&SyntheticConfig::medium(11)),
-        ),
-        (
-            "synthetic-large",
-            synthetic_spec(&SyntheticConfig::large(11)),
-        ),
-        ("synthetic-wide", synthetic_spec(&SyntheticConfig::wide(13))),
-    ];
     let one = threaded(&ExploreOptions::paper(), 1);
     let weights = FlexibilityWeights::new();
-    for (name, spec) in &models {
+    for (name, spec) in &bundled_models() {
         let plain = explore(spec, &one).unwrap();
         assert_eq!(plain.stats.chunks_speculated, 0, "{name}: explore");
         assert_eq!(plain.stats.speculative_waste, 0, "{name}: explore");
@@ -199,5 +204,72 @@ fn resilient_exploration_is_thread_invariant() {
             );
             assert_eq!(s.implementation.allocation, p.implementation.allocation);
         }
+    }
+}
+
+/// Every exploration that runs on the shared bind loop agrees with
+/// `explore` on every bundled model, at 1 and 4 threads: the two design
+/// queries read back each front point, upgrades from an empty base are
+/// `explore` itself, and the weighted and resilient fronts do not depend
+/// on the thread count.
+#[test]
+fn shared_bind_loop_answers_agree_on_every_bundled_model() {
+    let weights = FlexibilityWeights::new();
+    for (name, spec) in &bundled_models() {
+        let compiled = CompiledSpec::with_activation_cache(spec);
+        let mut weighted = Vec::new();
+        let mut resilient = Vec::new();
+        for threads in [1, 4] {
+            let options = threaded(&ExploreOptions::paper(), threads);
+            let explored = explore(spec, &options).unwrap();
+            for point in &explored.front {
+                let objectives = (point.cost, point.flexibility);
+                let cheapest = min_cost_for_flexibility(spec, point.flexibility, &options)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(
+                    (cheapest.cost, cheapest.flexibility),
+                    objectives,
+                    "{name}: min-cost query at {threads} threads"
+                );
+                let best = max_flexibility_under_budget(spec, point.cost, &options)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(
+                    (best.cost, best.flexibility),
+                    objectives,
+                    "{name}: budget query at {threads} threads"
+                );
+            }
+            let upgrades = explore_upgrades(spec, &ResourceAllocation::new(), &options).unwrap();
+            assert_eq!(
+                serde_json::to_string(&upgrades.front).unwrap(),
+                serde_json::to_string(&explored.front).unwrap(),
+                "{name}: upgrades from nothing at {threads} threads"
+            );
+            assert_eq!(upgrades.stats, explored.stats, "{name}: {threads} threads");
+            let front = explore_weighted(spec, &weights, &options).unwrap().front;
+            weighted.push(
+                front
+                    .into_iter()
+                    .map(|p| {
+                        let value = p.weighted_flexibility.to_bits();
+                        (p.cost, value, p.implementation.allocation)
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let front = explore_resilient(&compiled, 1, &options, &ObsSink::disabled()).unwrap();
+            resilient.push(
+                front
+                    .into_iter()
+                    .map(|p| {
+                        let objectives = (p.cost, p.flexibility, p.resilience);
+                        (objectives, p.implementation.allocation)
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(weighted[0], weighted[1], "{name}: weighted front");
+        assert_eq!(resilient[0], resilient[1], "{name}: resilient front");
     }
 }

@@ -158,6 +158,43 @@ fn cross_worker_hits_never_change_emitted_estimates() {
     }
 }
 
+/// The estimate-memo counters are read off the walk's fixed
+/// decomposition: phase-1 lookups minus phase-1 keys, and phase-2 lookups
+/// minus the keys phase 2 added. Their values on the model zoo are pinned
+/// at every thread count.
+#[test]
+fn memo_counters_are_pinned_on_every_model() {
+    let pinned: [(&str, u64, u64); 10] = [
+        ("set-top-box", 0, 2906),
+        ("tv-decoder", 3, 10),
+        ("dual-slot-fpga", 3, 0),
+        ("synthetic-small", 5, 0),
+        ("synthetic-medium", 0, 233),
+        ("synthetic-large", 0, 40),
+        ("synthetic-wide", 0, 114),
+        ("automotive", 2, 0),
+        ("baseband", 1, 0),
+        ("cloud-fpga", 3, 0),
+    ];
+    for ((name, spec), (pinned_name, memo_hits, cross_hits)) in all_models().iter().zip(pinned) {
+        assert_eq!(*name, pinned_name);
+        let compiled = CompiledSpec::new(spec);
+        for threads in [1, 3] {
+            let options = AllocationOptions {
+                threads,
+                ..AllocationOptions::default()
+            };
+            let (_, stats) =
+                possible_resource_allocations(&compiled, &options, &ObsSink::disabled()).unwrap();
+            assert_eq!(
+                (stats.estimate_memo_hits, stats.memo_cross_hits),
+                (memo_hits, cross_hits),
+                "{name} at {threads} threads"
+            );
+        }
+    }
+}
+
 /// Full-pipeline steal-order invariance: front, search counters and obs
 /// counters are byte-identical at 1/2/4/8 threads on every bundled and
 /// generated model.
